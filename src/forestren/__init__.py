@@ -11,6 +11,7 @@ from .errors import (
     NotProperlyDecorated,
     ParseError,
     SingularGram,
+    TruncationBelowDegree,
     VariableMismatch,
 )
 from .forest import (

@@ -25,6 +25,7 @@ from .errors import (
     NotProperlyDecorated,
     ParseError,
     SingularGram,
+    TruncationBelowDegree,
     VariableMismatch,
 )
 from .forest import parse_forest
@@ -37,7 +38,13 @@ from .oracle import (
 from .projector import piplus_expand
 from .renorm import expand_r1, is_similar, regularize, renormalize
 
-_PARSE_ERRORS = (ParseError, NonPositiveWeight, VariableMismatch, IndexOutOfRange)
+_PARSE_ERRORS = (
+    ParseError,
+    NonPositiveWeight,
+    VariableMismatch,
+    IndexOutOfRange,
+    TruncationBelowDegree,
+)
 _LOCALITY_ERRORS = (NotProperlyDecorated, LocalityViolation, SingularGram)
 _NUMERIC_ERRORS = (ConvergenceFailure, DomainError)
 
@@ -58,7 +65,11 @@ def _build_parser() -> argparse.ArgumentParser:
             "--trunc",
             type=int,
             default=None,
-            help="series truncation degree (default: forest degree + 2)",
+            help=(
+                "series truncation degree of the germ output (default: forest"
+                " degree + 2); other commands only check that it is at least"
+                " the forest degree"
+            ),
         )
         p.add_argument(
             "--format",
@@ -171,9 +182,9 @@ def _cmd_check_similar(args, out) -> None:
     if not is_similar(f1, Q1, f2, Q2):
         print("NOT-SIMILAR", file=out)
         return
-    print("SIMILAR", file=out)
     v1 = renormalize(f1, Q1, args.trunc)
     v2 = renormalize(f2, Q2, args.trunc)
+    print("SIMILAR", file=out)
     if v1.exact != v2.exact:
         raise _CheckFailure(
             "similar forests disagree: "

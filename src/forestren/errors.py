@@ -15,6 +15,10 @@ class ParseError(ForestrenError):
     """Input text does not conform to the forest grammar."""
 
 
+class TruncationBelowDegree(ForestrenError, ValueError):
+    """A series truncation lower than the degree of the forest it expands."""
+
+
 class NonPositiveWeight(ForestrenError):
     """A vertex weight (self-pairing of its decoration) is zero or negative."""
 

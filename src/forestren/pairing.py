@@ -352,6 +352,13 @@ def gram(forest: "DecoratedForest", Q: InnerProduct) -> GramMatrix:
         raise NotProperlyDecorated(
             "gram matrix requires pairwise orthogonal nonzero decorations"
         )
+    return overlap_gram(forest, vertex_weights(forest, Q))
+
+
+def vertex_weights(
+    forest: "DecoratedForest", Q: InnerProduct
+) -> dict["VertexId", Fraction]:
+    """The self-pairings q_v = Q(d(v), d(v)); raises NonPositiveWeight."""
     weights: dict["VertexId", Fraction] = {}
     for node in _iter_vertices(forest):
         q = inner(Q, node.decoration, node.decoration)
@@ -360,6 +367,19 @@ def gram(forest: "DecoratedForest", Q: InnerProduct) -> GramMatrix:
                 f"vertex {node.root_id} has non-positive weight {q}"
             )
         weights[node.root_id] = q
+    return weights
+
+
+def overlap_gram(
+    forest: "DecoratedForest", weights: Mapping["VertexId", Fraction]
+) -> GramMatrix:
+    """The overlap formula of :func:`gram`, without its validation.
+
+    The caller guarantees that ``forest`` is properly decorated and that
+    ``weights`` holds the self-pairing of each of its vertices (extra
+    entries are ignored), so the validation of a whole forest can serve
+    the Gram matrix of each of its trees.
+    """
     sets = _subtree_vertex_sets(forest)
     vertices = tuple(sorted(sets))
     rows = tuple(

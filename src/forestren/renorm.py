@@ -6,21 +6,26 @@ vertex, with L_v the subtree sum at v.  Evaluating at x = 1 keeps the factor
 list; expanding each factor as 1/z_v + h(z_v) and clearing denominators
 yields a single fraction with one simple pole per vertex, whose holomorphic
 projection at zero is the renormalized value: an exact polynomial in pi^2.
+The renormalized map is a locality character, so :func:`renormalize`
+evaluates a forest tree by tree and multiplies.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional
 
 import mpmath
 
-from .errors import NotProperlyDecorated
+from .errors import NotProperlyDecorated, TruncationBelowDegree
 from .forest import (
     DecoratedForest,
+    VertexId,
     canonical,
     decorations,
     degree,
+    forest_of,
     subtree_sums,
     vertex_ids,
 )
@@ -28,15 +33,23 @@ from .pairing import (
     InnerProduct,
     LinearForm,
     check_properly_decorated,
-    gram,
     inner,
+    overlap_gram,
+    vertex_weights,
 )
 from .projector import (
     GermFraction,
     ProjectionContext,
     ev0_piplus_direct,
 )
-from .series import PiPoly, TruncSeries, h_series
+from .series import (
+    ONE_PIPOLY,
+    ZERO_PIPOLY,
+    PiPoly,
+    TruncSeries,
+    h_series,
+    numerator_slice,
+)
 
 
 @dataclass(frozen=True)
@@ -100,6 +113,18 @@ def r1(forest: DecoratedForest, Q: InnerProduct) -> tuple[LinearForm, ...]:
     return regularize(forest, Q).factors
 
 
+def _require_trunc(forest: DecoratedForest, N: Optional[int]) -> int:
+    """The truncation N, defaulting to degree + 2 and never below the degree."""
+    deg = degree(forest)
+    if N is None:
+        return deg + 2
+    if N < deg:
+        raise TruncationBelowDegree(
+            f"truncation {N} is below the forest degree {deg}"
+        )
+    return N
+
+
 def expand_r1(
     forest: DecoratedForest, Q: InnerProduct, N: Optional[int] = None
 ) -> tuple[GermFraction, ProjectionContext]:
@@ -111,11 +136,7 @@ def expand_r1(
     vertex.  The context carries the Gram matrix of the subtree sums.
     """
     _require_properly_decorated(forest, Q)
-    deg = degree(forest)
-    if N is None:
-        N = deg + 2
-    if N < deg:
-        raise ValueError(f"truncation {N} is below the forest degree {deg}")
+    N = _require_trunc(forest, N)
     variables = vertex_ids(forest)
     numerator = TruncSeries.one(variables, N)
     for v in variables:
@@ -123,7 +144,7 @@ def expand_r1(
             v, N, variables
         ).mul_by_var(v).truncated(N)
         numerator = numerator * factor
-    ctx = ProjectionContext(gram(forest, Q))
+    ctx = ProjectionContext(overlap_gram(forest, vertex_weights(forest, Q)))
     return GermFraction(numerator, frozenset(variables)), ctx
 
 
@@ -133,12 +154,38 @@ def renormalize(
     """The renormalized character: eval at zero of the projected expansion.
 
     Exact in Q[pi^2]; multiplicative over independent concatenation and
-    invariant under global positive rescaling of the weights.  Evaluates via
-    :func:`ev0_piplus_direct`, which agrees with the telescoping
-    :func:`ev0_piplus` on every fraction but scales to larger forests.
+    invariant under global positive rescaling of the weights.  The value is
+    the product of the trees' values, and the empty forest gives 1.  A tree
+    of degree n gives a rational multiple of pi^n, and 0 when n is odd: its
+    numerator prod_v (1 + z_v h(z_v)) has only even-degree terms, and only
+    those of degree exactly n reach the value, so just that slice is built
+    and projected with :func:`ev0_piplus_direct`.  ``N`` must be at least
+    the forest degree but does not change the value.  The unfactored
+    evaluation of :func:`expand_r1` on the whole forest is the reference the
+    tests check this against.
     """
-    frac, ctx = expand_r1(forest, Q, N)
-    return RenormalizedValue.from_exact(ev0_piplus_direct(frac, ctx))
+    _require_properly_decorated(forest, Q)
+    _require_trunc(forest, N)
+    weights = vertex_weights(forest, Q)
+    value = ONE_PIPOLY
+    for t in forest.trees:
+        value = value * _tree_value(forest_of(t), weights)
+        if value.is_zero():
+            break
+    return RenormalizedValue.from_exact(value)
+
+
+def _tree_value(
+    tree: DecoratedForest, weights: dict[VertexId, Fraction]
+) -> PiPoly:
+    """Renormalized value of a one-tree forest already validated by the caller."""
+    n = degree(tree)
+    if n % 2:
+        return ZERO_PIPOLY
+    variables = vertex_ids(tree)
+    frac = GermFraction(numerator_slice(variables, n), frozenset(variables))
+    ctx = ProjectionContext(overlap_gram(tree, weights))
+    return ev0_piplus_direct(frac, ctx)
 
 
 def is_similar(

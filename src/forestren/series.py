@@ -432,6 +432,34 @@ def sinc_inverse_coeffs(count: int) -> tuple[Fraction, ...]:
     return tuple(u)
 
 
+def numerator_slice(variables: Sequence[VertexId], n: int) -> TruncSeries:
+    """The total-degree-n terms of prod_v (1 + z_v h(z_v)), truncated at n.
+
+    z h(z) = pi z/sin(pi z) - 1 is even, so each factor is
+    sum_m u_m Pi^m z_v^(2m) with u = :func:`sinc_inverse_coeffs`, and the
+    slice is Pi^(n/2) * sum over m_v >= 0 with sum_v m_v = n/2 of
+    prod_v u_(m_v) z_v^(2 m_v).  It is zero for odd n.  The terms are built
+    directly, without expanding the product at any other degree.
+    """
+    variables = tuple(variables)
+    if n % 2:
+        return TruncSeries.zero(variables, n)
+    half = n // 2
+    u = sinc_inverse_coeffs(half + 1)
+    # exponent vectors over a prefix of the slots -> prod of their u_m
+    partial: dict[ExpVec, Fraction] = {(): Fraction(1)}
+    for _ in variables:
+        partial = {
+            ev + (2 * m,): c * u[m]
+            for ev, c in partial.items()
+            for m in range(half - sum(ev) // 2 + 1)
+        }
+    terms = {
+        ev: PiPoly.pi2(half, c) for ev, c in partial.items() if sum(ev) == n
+    }
+    return TruncSeries(variables, n, terms)
+
+
 def h_series(
     v: VertexId,
     N: int,

@@ -16,6 +16,7 @@ from forestren import (
     PiPoly,
     ProjectionContext,
     ev0_piplus,
+    ev0_piplus_direct,
     gram,
     parse_forest,
     quad_single,
@@ -109,6 +110,9 @@ def test_criterion_3_locality_character():
             lhs = renormalize(cat, Q).exact
             rhs = renormalize(f1, Q).exact * renormalize(f2, Q).exact
             assert lhs == rhs
+            # renormalize factors over trees; the whole-forest expansion
+            # checks that factoring against the unfactored value
+            assert lhs == ev0_piplus_direct(*expand_r1(cat, Q))
 
 
 def test_criterion_4_projection_internals():
@@ -200,3 +204,9 @@ def test_criterion_8_truncation_stability():
                 renormalize(f, Q, N=n + 2).exact
                 == renormalize(f, Q, N=n + 4).exact
             )
+            # renormalize ignores N beyond validating it; the unfactored
+            # path really truncates at N
+            for N in (n + 2, n + 4):
+                assert renormalize(f, Q, N=N).exact == ev0_piplus_direct(
+                    *expand_r1(f, Q, N)
+                )

@@ -157,6 +157,16 @@ class TestErrorPaths:
         rc, out, _ = invoke(["renorm", f, "--explicit", "--format", "exact"])
         assert (rc, out) == (0, "pi^2/4\n")
 
+    @pytest.mark.parametrize("command", ["renorm", "germ", "check-similar"])
+    def test_truncation_below_degree_exit_1(self, workdir, command):
+        f = put(workdir, "l2.forest", "(1 (1))")
+        paths = [f, f] if command == "check-similar" else [f]
+        assert invoke([command, *paths, "--trunc", "1"]) == (
+            1,
+            "",
+            "error: truncation 1 is below the forest degree 2\n",
+        )
+
     def test_missing_file_exit_1(self, workdir):
         rc, _, err = invoke(["renorm", "nope.forest"])
         assert rc == 1

@@ -1,6 +1,7 @@
 """Closed-form regularization and the renormalized character."""
 
 import random
+import time
 from fractions import Fraction
 
 import mpmath
@@ -9,11 +10,14 @@ import pytest
 from forestren import (
     EMPTY_FOREST,
     InnerProduct,
+    NonPositiveWeight,
     NotProperlyDecorated,
     PiPoly,
     RegularizedIntegral,
     RenormalizedValue,
     basis,
+    ev0_piplus_direct,
+    expand_r1,
     form,
     is_similar,
     parse_forest,
@@ -100,6 +104,26 @@ class TestParity:
         assert seen > 20
 
 
+class TestFactoring:
+    def test_odd_tree_makes_forest_vanish(self):
+        # even total degree, but both trees are odd
+        f, Q = parse_forest("(1) (2 (1) (3))")
+        assert renormalize(f, Q).exact.is_zero()
+        assert ev0_piplus_direct(*expand_r1(f, Q)).is_zero()
+
+    @pytest.mark.parametrize(
+        "text, repeats, expected",
+        [("(1)", 60, "0"), ("(1 (1))", 30, "pi^60/1152921504606846976")],
+    )
+    def test_many_trees_are_fast(self, text, repeats, expected):
+        f, Q = parse_forest(" ".join([text] * repeats))
+        start = time.perf_counter()
+        value = renormalize(f, Q)
+        elapsed = time.perf_counter() - start
+        assert str(value.exact) == expected
+        assert elapsed < 1.0
+
+
 class TestMultiplicativity:
     def test_independent_concatenation(self):
         rng = random.Random(11)
@@ -174,7 +198,9 @@ class TestTruncation:
 
     def test_truncation_below_degree_rejected(self):
         f, Q = parse_forest("(1 (1) (1))")
-        with pytest.raises(ValueError):
+        with pytest.raises(
+            ValueError, match="^truncation 2 is below the forest degree 3$"
+        ):
             renormalize(f, Q, N=2)
 
 
@@ -188,6 +214,13 @@ class TestGuards:
             renormalize(f, skew)
         with pytest.raises(NotProperlyDecorated):
             regularize(f, skew)
+
+    def test_weights_checked_past_an_odd_tree(self):
+        # the odd first tree ends the product, but every vertex is validated
+        f, _ = parse_forest("(1) (1 (1))")
+        indefinite = InnerProduct.diagonal({0: 1, 1: 1, 2: -1})
+        with pytest.raises(NonPositiveWeight):
+            renormalize(f, indefinite)
 
 
 class TestRenormalizedValue:

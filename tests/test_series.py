@@ -5,9 +5,12 @@ import hypothesis.strategies as strat
 import pytest
 
 from forestren import NotDivisible, PiPoly, TruncSeries, VariableMismatch, h_series
+from forestren.forest import from_shape
+from forestren.renorm import expand_r1
 from forestren.series import (
     ONE_PIPOLY,
     ZERO_PIPOLY,
+    numerator_slice,
     sinc_coeffs,
     sinc_inverse_coeffs,
 )
@@ -72,6 +75,19 @@ def test_h_series_variable_embedding():
     h = h_series(1, 4, variables=(0, 1, 2))
     for ev in h.terms:
         assert ev[0] == 0 and ev[2] == 0
+
+
+def test_numerator_slice_is_degree_n_part_of_expand_r1():
+    # The numerator prod_v (1 + z_v h(z_v)) depends only on the vertex
+    # count, so n single vertices stand for every forest of degree n.
+    for n in range(11):
+        f, Q = from_shape(((),) * n, [1] * n)
+        num = expand_r1(f, Q)[0].numerator
+        want = {ev: c for ev, c in num.terms.items() if sum(ev) == n}
+        got = numerator_slice(num.variables, n)
+        assert (got.variables, got.trunc) == (num.variables, n)
+        assert got.terms == want
+        assert got.is_zero() == (n % 2 == 1)
 
 
 # ---------------------------------------------------------------------------
