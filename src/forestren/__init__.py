@@ -9,6 +9,7 @@ from .errors import (
     NonPositiveWeight,
     NotDivisible,
     NotProperlyDecorated,
+    NumeratorTooLarge,
     ParseError,
     SingularGram,
     TruncationBelowDegree,
@@ -19,12 +20,15 @@ from .forest import (
     DecoratedTree,
     EMPTY_FOREST,
     canonical,
+    check_properly_decorated,
     concat,
     decompose,
     degree,
     forest_shapes,
     from_shape,
     graft,
+    gram,
+    gram_from_inner,
     parse_forest,
     serialize,
     subtree_sums,
@@ -35,10 +39,7 @@ from .pairing import (
     InnerProduct,
     LinearForm,
     basis,
-    check_properly_decorated,
     form,
-    gram,
-    gram_from_inner,
     inner,
     is_independent,
 )

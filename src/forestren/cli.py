@@ -23,6 +23,7 @@ from .errors import (
     NonPositiveWeight,
     NotDivisible,
     NotProperlyDecorated,
+    NumeratorTooLarge,
     ParseError,
     SingularGram,
     TruncationBelowDegree,
@@ -44,6 +45,7 @@ _PARSE_ERRORS = (
     VariableMismatch,
     IndexOutOfRange,
     TruncationBelowDegree,
+    NumeratorTooLarge,
 )
 _LOCALITY_ERRORS = (NotProperlyDecorated, LocalityViolation, SingularGram)
 _NUMERIC_ERRORS = (ConvergenceFailure, DomainError)

@@ -19,6 +19,10 @@ class TruncationBelowDegree(ForestrenError, ValueError):
     """A series truncation lower than the degree of the forest it expands."""
 
 
+class NumeratorTooLarge(ForestrenError, ValueError):
+    """A numerator slice with more terms than renormalization will build."""
+
+
 class NonPositiveWeight(ForestrenError):
     """A vertex weight (self-pairing of its decoration) is zero or negative."""
 

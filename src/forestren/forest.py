@@ -6,7 +6,8 @@ variable.  Construction is locality-guarded: concatenation and grafting
 demand Q-orthogonality, mirroring the partial product and partial grafting
 action of the underlying operated structure.
 
-The module also owns the text grammar (canonical weight mode and explicit
+The module also owns proper-decoration validation and the Gram matrix of
+the subtree sums, the text grammar (canonical weight mode and explicit
 vector mode), the order-independent canonical encoding, and a catalog of all
 forest shapes of a given size.
 """
@@ -17,7 +18,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Iterator, Mapping, Optional, Sequence, Union
 
 from .errors import (
     LocalityViolation,
@@ -26,12 +27,11 @@ from .errors import (
     ParseError,
 )
 from .pairing import (
+    GramMatrix,
     InnerProduct,
     LinearForm,
     Rational,
-    ZERO_FORM,
     basis,
-    check_properly_decorated,
     inner,
     is_independent,
 )
@@ -48,7 +48,7 @@ class DecoratedTree:
     children: tuple["DecoratedTree", ...]
 
     def vertex_count(self) -> int:
-        return 1 + sum(c.vertex_count() for c in self.children)
+        return DecoratedForest((self,)).degree()
 
 
 @dataclass(frozen=True)
@@ -58,7 +58,7 @@ class DecoratedForest:
     trees: tuple[DecoratedTree, ...]
 
     def degree(self) -> int:
-        return sum(t.vertex_count() for t in self.trees)
+        return sum(1 for _ in iter_vertices(self))
 
     def is_empty(self) -> bool:
         return not self.trees
@@ -80,7 +80,10 @@ def forest_of(*trees_: DecoratedTree) -> DecoratedForest:
 
 
 def iter_vertices(forest: DecoratedForest) -> Iterator[DecoratedTree]:
-    """Every vertex of the forest, as the subtree node rooted there."""
+    """Every vertex of the forest, as the subtree node rooted there.
+
+    The order is a preorder: reversed, it lists children before parents.
+    """
     stack = list(forest.trees)
     while stack:
         node = stack.pop()
@@ -186,17 +189,100 @@ def decompose(forest: DecoratedForest) -> Decomposition:
 def subtree_sums(forest: DecoratedForest) -> dict[VertexId, LinearForm]:
     """For each vertex v, the sum L_v of decorations over its maximal subtree."""
     sums: dict[VertexId, LinearForm] = {}
-
-    def walk(node: DecoratedTree) -> LinearForm:
+    for node in reversed(list(iter_vertices(forest))):
         acc = node.decoration
         for child in node.children:
-            acc = acc + walk(child)
+            acc = acc + sums[child.root_id]
         sums[node.root_id] = acc
-        return acc
-
-    for t in forest.trees:
-        walk(t)
     return sums
+
+
+# --------------------------------------------------------------------------
+# Proper decoration and Gram matrices
+# --------------------------------------------------------------------------
+
+
+def check_properly_decorated(forest: DecoratedForest, Q: InnerProduct) -> bool:
+    """True iff all vertex decorations are nonzero and pairwise Q-orthogonal."""
+    decos = [t.decoration for t in iter_vertices(forest)]
+    if any(d.is_zero() for d in decos):
+        return False
+    for i in range(len(decos)):
+        for j in range(i + 1, len(decos)):
+            if not is_independent(Q, decos[i], decos[j]):
+                return False
+    return True
+
+
+def gram(forest: DecoratedForest, Q: InnerProduct) -> GramMatrix:
+    """Gram matrix of the subtree sums L_v, via the overlap formula.
+
+    For a properly decorated forest, Q(L_v, L_w) is the sum of the
+    self-pairings q_u = Q(d(u), d(u)) over the vertices u common to the two
+    maximal subtrees: cross terms vanish by orthogonality, and two subtree
+    vertex sets are either nested or disjoint.
+    """
+    if not check_properly_decorated(forest, Q):
+        raise NotProperlyDecorated(
+            "gram matrix requires pairwise orthogonal nonzero decorations"
+        )
+    return overlap_gram(forest, vertex_weights(forest, Q))
+
+
+def vertex_weights(
+    forest: DecoratedForest, Q: InnerProduct
+) -> dict[VertexId, Fraction]:
+    """The self-pairings q_v = Q(d(v), d(v)); raises NonPositiveWeight."""
+    weights: dict[VertexId, Fraction] = {}
+    for node in iter_vertices(forest):
+        q = inner(Q, node.decoration, node.decoration)
+        if q <= 0:
+            raise NonPositiveWeight(
+                f"vertex {node.root_id} has non-positive weight {q}"
+            )
+        weights[node.root_id] = q
+    return weights
+
+
+def overlap_gram(
+    forest: DecoratedForest, weights: Mapping[VertexId, Fraction]
+) -> GramMatrix:
+    """The overlap formula of :func:`gram`, without its validation.
+
+    The caller guarantees that ``forest`` is properly decorated and that
+    ``weights`` holds the self-pairing of each of its vertices (extra
+    entries are ignored), so the validation of a whole forest can serve
+    the Gram matrix of each of its trees.
+    """
+    sets: dict[VertexId, frozenset[VertexId]] = {}  # maximal subtree of each vertex
+    for node in reversed(list(iter_vertices(forest))):
+        acc = frozenset((node.root_id,))
+        for child in node.children:
+            acc |= sets[child.root_id]
+        sets[node.root_id] = acc
+    vertices = tuple(sorted(sets))
+    rows = tuple(
+        tuple(
+            sum((weights[u] for u in sets[v] & sets[w]), Fraction(0))
+            for w in vertices
+        )
+        for v in vertices
+    )
+    return GramMatrix(vertices, rows)
+
+
+def gram_from_inner(forest: DecoratedForest, Q: InnerProduct) -> GramMatrix:
+    """Gram matrix computed the direct way: Q applied to explicit subtree sums.
+
+    Independent cross-check route for :func:`gram`; the two must agree on
+    every properly decorated forest.
+    """
+    sums = subtree_sums(forest)
+    vertices = tuple(sorted(sums))
+    rows = tuple(
+        tuple(inner(Q, sums[v], sums[w]) for w in vertices) for v in vertices
+    )
+    return GramMatrix(vertices, rows)
 
 
 # --------------------------------------------------------------------------
@@ -205,9 +291,12 @@ def subtree_sums(forest: DecoratedForest) -> dict[VertexId, LinearForm]:
 
 
 def _tree_canonical(node: DecoratedTree, Q: InnerProduct) -> str:
-    w = inner(Q, node.decoration, node.decoration)
-    kids = sorted(_tree_canonical(c, Q) for c in node.children)
-    return f"({w}|{','.join(kids)})"
+    keys: dict[int, str] = {}  # by object id: vertex ids need not be unique
+    for v in reversed(list(iter_vertices(DecoratedForest((node,))))):
+        w = inner(Q, v.decoration, v.decoration)
+        kids = sorted(keys[id(c)] for c in v.children)
+        keys[id(v)] = f"({w}|{','.join(kids)})"
+    return keys[id(node)]
 
 
 def canonical(forest: DecoratedForest, Q: InnerProduct) -> bytes:
@@ -362,21 +451,19 @@ def parse_forest(text: str) -> tuple[DecoratedForest, InnerProduct]:
         return EMPTY_FOREST, InnerProduct.diagonal({})
     parser = _Parser(tokens, explicit_Q)
     trees = []
-    while parser.peek() is not None:
-        trees.append(parser.parse_tree())
+    try:
+        while parser.peek() is not None:
+            trees.append(parser.parse_tree())
+    except RecursionError:
+        raise ParseError("forest nesting is too deep") from None
     forest = DecoratedForest(tuple(trees))
     if explicit_Q is not None:
+        # Q is positive definite and no decoration is zero: weights are positive
         Q = explicit_Q
         if not check_properly_decorated(forest, Q):
             raise NotProperlyDecorated(
                 "explicit decorations must be nonzero and pairwise Q-orthogonal"
             )
-        for node in iter_vertices(forest):
-            q = inner(Q, node.decoration, node.decoration)
-            if q <= 0:
-                raise NonPositiveWeight(
-                    f"decoration of vertex {node.root_id} has weight {q}"
-                )
     else:
         Q = InnerProduct.diagonal(parser.weights)
     return forest, Q

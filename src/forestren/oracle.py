@@ -18,22 +18,24 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Mapping, Optional, Sequence
 
 from .errors import ConvergenceFailure, DomainError, IndexOutOfRange
 from .forest import (
     DecoratedForest,
     DecoratedTree,
     degree,
+    gram,
     iter_vertices,
     subtree_sums,
     vertex_ids,
 )
-from .pairing import InnerProduct, LinearForm, gram
+from .pairing import InnerProduct, LinearForm
 from .projector import GermFraction, ProjectionContext, ev0_piplus
 from .series import PiPoly, TruncSeries, ZERO_PIPOLY, h_series
+
+if TYPE_CHECKING:  # numpy loads on the first quadrature call, not on import
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -90,6 +92,7 @@ def _de_grid(level: int, cfg: QuadConfig):
     log_w : ndarray
         log of the quadrature weight, log(h * y_j * cosh(t_j)).
     """
+    import numpy as np
     h = 0.5 / 2 ** level
     m = int(math.ceil(cfg.t_cut / h))
     t = h * np.arange(-m, m + 1)
@@ -99,6 +102,7 @@ def _de_grid(level: int, cfg: QuadConfig):
 
 
 def _logsumexp(a: np.ndarray, axis: Optional[int] = None) -> np.ndarray:
+    import numpy as np
     m = np.max(a, axis=axis, keepdims=True)
     m = np.where(np.isfinite(m), m, 0.0)
     with np.errstate(divide="ignore"):
@@ -121,6 +125,7 @@ def quad_single(a: float, x: float, cfg: QuadConfig = QuadConfig()) -> float:
     float
         The integral, matching pi/sin(pi*a) * x^(-a) within tolerance.
     """
+    import numpy as np
     if not 0.0 < a < 1.0:
         raise DomainError(f"exponent {a} outside the convergence strip (0, 1)")
     if x <= 0:
@@ -169,6 +174,7 @@ def _forest_log_value(
     evaluates each subtree once on that grid and contracts against the
     kernel for all outer points in one dense operation.
     """
+    import numpy as np
     total = np.zeros_like(log_x)
     for t in trees:
         a_root = assign.value_of(t.decoration)
@@ -217,6 +223,7 @@ def quad_tree(
     _check_strip(forest, assign)
     if forest.is_empty():
         return 1.0
+    import numpy as np
     log_x = np.array([math.log(x)])
     prev = None
     for level in range(cfg.max_refinements + 1):
@@ -260,10 +267,10 @@ def admissible_assignment(
     Each decoration value is drawn from c*(0.5, 1) with c chosen so that
     even the largest subtree stays below 0.9.
     """
-    sizes = [node.vertex_count() for node in iter_vertices(forest)]
-    if not sizes:
+    if forest.is_empty():
         return NumericAssignment({})
-    cap = 0.9 / max(sizes)
+    # The largest subtree is a whole tree.
+    cap = 0.9 / max(t.vertex_count() for t in forest.trees)
     values: dict[int, float] = {}
     for node in iter_vertices(forest):
         items = node.decoration.items

@@ -1,27 +1,22 @@
-"""Rational linear forms, inner products, and Gram matrices of subtree sums.
+"""Rational linear forms, inner products, and Gram matrices.
 
 Everything in this module is exact: coefficients are `fractions.Fraction`,
-and all predicates (orthogonality, proper decoration, positive definiteness)
-are decided by exact arithmetic.  The independence relation used throughout
-the package is Q-orthogonality of linear forms.
+and all predicates (orthogonality, positive definiteness) are decided by
+exact arithmetic, through one Gaussian elimination routine.  The
+independence relation used throughout the package is Q-orthogonality of
+linear forms.  Building the Gram matrix of a forest's subtree sums belongs
+to :mod:`forestren.forest`.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence, Union
+from typing import Mapping, Sequence, Union
 
-from .errors import (
-    IndexOutOfRange,
-    NonPositiveWeight,
-    NotProperlyDecorated,
-    SingularGram,
-)
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard, annotations only
-    from .forest import DecoratedForest, DecoratedTree, VertexId
+from .errors import IndexOutOfRange, SingularGram
 
 Rational = Union[Fraction, int]
 
@@ -181,28 +176,45 @@ class InnerProduct:
 
     def is_positive_definite(self) -> bool:
         """Sylvester's criterion on the dense matrix of the active set."""
-        idx = list(self.indices)
-        n = len(idx)
-        mat = [[self.entry(idx[i], idx[j]) for j in range(n)] for i in range(n)]
-        return _leading_minors_positive(mat)
+        idx = self.indices
+        return _positive_definite([[self.entry(i, j) for j in idx] for i in idx])
 
 
-def _leading_minors_positive(mat: list[list[Fraction]]) -> bool:
-    # Gaussian elimination without row swaps: the pivots are the ratios of
-    # successive leading principal minors, so all pivots > 0 iff all minors > 0.
-    n = len(mat)
-    work = [row[:] for row in mat]
+def _eliminate(a: list[list[Fraction]]) -> tuple[list[Fraction], int]:
+    """Exact forward elimination of the leading square block of ``a``, in place.
+
+    Each step pivots on the first nonzero entry at or below the diagonal, and
+    columns past the block (a right-hand side) are carried along; entries
+    below the diagonal are left stale.  Returns the pivots and the number of
+    row swaps.  A singular block ends the pivots with a zero.
+    """
+    n = len(a)
+    pivots: list[Fraction] = []
+    swaps = 0
     for k in range(n):
-        pivot = work[k][k]
-        if pivot <= 0:
-            return False
-        for i in range(k + 1, n):
-            factor = work[i][k] / pivot
-            if factor == 0:
+        p = next((i for i in range(k, n) if a[i][k] != 0), None)
+        if p is None:
+            return pivots + [Fraction(0)], swaps
+        if p != k:
+            a[k], a[p] = a[p], a[k]
+            swaps += 1
+        row_k = a[k]
+        pivot = row_k[k]
+        pivots.append(pivot)
+        for row in a[k + 1 :]:
+            if row[k] == 0:
                 continue
-            for j in range(k, n):
-                work[i][j] -= factor * work[k][j]
-    return True
+            factor = row[k] / pivot
+            for j in range(k + 1, len(row)):
+                row[j] -= factor * row_k[j]
+    return pivots, swaps
+
+
+def _positive_definite(a: list[list[Fraction]]) -> bool:
+    # A zero pivot forces a swap.  Without swaps the pivots are the ratios of
+    # successive leading principal minors, so all pivots > 0 iff all minors > 0.
+    pivots, swaps = _eliminate(a)
+    return swaps == 0 and all(p > 0 for p in pivots)
 
 
 def inner(Q: InnerProduct, a: LinearForm, b: LinearForm) -> Fraction:
@@ -227,60 +239,24 @@ def is_independent(Q: InnerProduct, a: LinearForm, b: LinearForm) -> bool:
     return inner(Q, a, b) == 0
 
 
-def check_properly_decorated(forest: "DecoratedForest", Q: InnerProduct) -> bool:
-    """True iff all vertex decorations are nonzero and pairwise Q-orthogonal."""
-    decos = [t.decoration for t in _iter_vertices(forest)]
-    if any(d.is_zero() for d in decos):
-        return False
-    for i in range(len(decos)):
-        for j in range(i + 1, len(decos)):
-            if not is_independent(Q, decos[i], decos[j]):
-                return False
-    return True
-
-
-def _iter_vertices(forest: "DecoratedForest") -> Iterable["DecoratedTree"]:
-    stack = list(forest.trees)
-    while stack:
-        node = stack.pop()
-        yield node
-        stack.extend(node.children)
-
-
-def _subtree_vertex_sets(
-    forest: "DecoratedForest",
-) -> dict["VertexId", frozenset["VertexId"]]:
-    out: dict["VertexId", frozenset["VertexId"]] = {}
-
-    def walk(node: "DecoratedTree") -> frozenset["VertexId"]:
-        acc: frozenset["VertexId"] = frozenset((node.root_id,))
-        for child in node.children:
-            acc |= walk(child)
-        out[node.root_id] = acc
-        return acc
-
-    for tree in forest.trees:
-        walk(tree)
-    return out
-
-
 @dataclass(frozen=True)
 class GramMatrix:
-    """The symmetric matrix Q(L_v, L_w) over the vertices of one forest.
+    """A symmetric matrix Q(L_v, L_w) over labelled linear forms L_v.
 
-    ``vertices`` is sorted; ``rows`` is dense.  Positive definiteness is
-    guaranteed for properly decorated forests with positive weights, and the
-    exact solver below raises :class:`SingularGram` otherwise.
+    ``vertices`` is sorted; ``rows`` is dense.  Positive definiteness holds
+    for the subtree sums of a properly decorated forest with positive
+    weights, and the exact solver below raises :class:`SingularGram`
+    otherwise.
     """
 
-    vertices: tuple["VertexId", ...]
+    vertices: tuple[int, ...]
     rows: tuple[tuple[Fraction, ...], ...]
 
     @cached_property
-    def _pos(self) -> dict["VertexId", int]:
+    def _pos(self) -> dict[int, int]:
         return {v: k for k, v in enumerate(self.vertices)}
 
-    def entry(self, v: "VertexId", w: "VertexId") -> Fraction:
+    def entry(self, v: int, w: int) -> Fraction:
         return self.rows[self._pos[v]][self._pos[w]]
 
     def scaled(self, c: Rational) -> "GramMatrix":
@@ -290,34 +266,13 @@ class GramMatrix:
         )
 
     def det(self) -> Fraction:
-        n = len(self.vertices)
-        work = [list(row) for row in self.rows]
-        sign = 1
-        det = Fraction(1)
-        for k in range(n):
-            pivot_row = next((i for i in range(k, n) if work[i][k] != 0), None)
-            if pivot_row is None:
-                return Fraction(0)
-            if pivot_row != k:
-                work[k], work[pivot_row] = work[pivot_row], work[k]
-                sign = -sign
-            pivot = work[k][k]
-            det *= pivot
-            for i in range(k + 1, n):
-                factor = work[i][k] / pivot
-                if factor == 0:
-                    continue
-                for j in range(k, n):
-                    work[i][j] -= factor * work[k][j]
-        return sign * det
+        pivots, swaps = _eliminate([list(row) for row in self.rows])
+        return math.prod(pivots, start=Fraction(-1 if swaps % 2 else 1))
 
     def is_positive_definite(self) -> bool:
-        mat = [list(row) for row in self.rows]
-        return _leading_minors_positive(mat)
+        return _positive_definite([list(row) for row in self.rows])
 
-    def solve(
-        self, sub: Sequence["VertexId"], rhs: Sequence[Fraction]
-    ) -> list[Fraction]:
+    def solve(self, sub: Sequence[int], rhs: Sequence[Fraction]) -> list[Fraction]:
         """Solve (Gram restricted to ``sub``) x = rhs exactly.
 
         Raises SingularGram when the restricted matrix is singular; for
@@ -325,91 +280,13 @@ class GramMatrix:
         """
         n = len(sub)
         a = [[self.entry(v, w) for w in sub] + [rhs[i]] for i, v in enumerate(sub)]
-        for k in range(n):
-            pivot_row = next((i for i in range(k, n) if a[i][k] != 0), None)
-            if pivot_row is None:
-                raise SingularGram("Gram subsystem is singular")
-            a[k], a[pivot_row] = a[pivot_row], a[k]
-            pivot = a[k][k]
-            for i in range(n):
-                if i == k or a[i][k] == 0:
-                    continue
-                factor = a[i][k] / pivot
-                for j in range(k, n + 1):
-                    a[i][j] -= factor * a[k][j]
-        return [a[i][n] / a[i][i] for i in range(n)]
-
-
-def gram(forest: "DecoratedForest", Q: InnerProduct) -> GramMatrix:
-    """Gram matrix of the subtree sums L_v, via the overlap formula.
-
-    For a properly decorated forest, Q(L_v, L_w) is the sum of the
-    self-pairings q_u = Q(d(u), d(u)) over the vertices u common to the two
-    maximal subtrees: cross terms vanish by orthogonality, and two subtree
-    vertex sets are either nested or disjoint.
-    """
-    if not check_properly_decorated(forest, Q):
-        raise NotProperlyDecorated(
-            "gram matrix requires pairwise orthogonal nonzero decorations"
-        )
-    return overlap_gram(forest, vertex_weights(forest, Q))
-
-
-def vertex_weights(
-    forest: "DecoratedForest", Q: InnerProduct
-) -> dict["VertexId", Fraction]:
-    """The self-pairings q_v = Q(d(v), d(v)); raises NonPositiveWeight."""
-    weights: dict["VertexId", Fraction] = {}
-    for node in _iter_vertices(forest):
-        q = inner(Q, node.decoration, node.decoration)
-        if q <= 0:
-            raise NonPositiveWeight(
-                f"vertex {node.root_id} has non-positive weight {q}"
-            )
-        weights[node.root_id] = q
-    return weights
-
-
-def overlap_gram(
-    forest: "DecoratedForest", weights: Mapping["VertexId", Fraction]
-) -> GramMatrix:
-    """The overlap formula of :func:`gram`, without its validation.
-
-    The caller guarantees that ``forest`` is properly decorated and that
-    ``weights`` holds the self-pairing of each of its vertices (extra
-    entries are ignored), so the validation of a whole forest can serve
-    the Gram matrix of each of its trees.
-    """
-    sets = _subtree_vertex_sets(forest)
-    vertices = tuple(sorted(sets))
-    rows = tuple(
-        tuple(
-            sum((weights[u] for u in sets[v] & sets[w]), Fraction(0))
-            for w in vertices
-        )
-        for v in vertices
-    )
-    return GramMatrix(vertices, rows)
-
-
-def gram_from_inner(forest: "DecoratedForest", Q: InnerProduct) -> GramMatrix:
-    """Gram matrix computed the direct way: Q applied to explicit subtree sums.
-
-    Independent cross-check route for :func:`gram`; the two must agree on
-    every properly decorated forest.
-    """
-    sets = _subtree_vertex_sets(forest)
-    deco: dict["VertexId", LinearForm] = {
-        node.root_id: node.decoration for node in _iter_vertices(forest)
-    }
-    sums: dict["VertexId", LinearForm] = {}
-    for v, vs in sets.items():
-        acc = ZERO_FORM
-        for u in vs:
-            acc = acc + deco[u]
-        sums[v] = acc
-    vertices = tuple(sorted(sets))
-    rows = tuple(
-        tuple(inner(Q, sums[v], sums[w]) for w in vertices) for v in vertices
-    )
-    return GramMatrix(vertices, rows)
+        if 0 in _eliminate(a)[0]:
+            raise SingularGram("Gram subsystem is singular")
+        x: list[Fraction] = [Fraction(0)] * n
+        for i in reversed(range(n)):
+            row = a[i]
+            s = row[n]
+            for j in range(i + 1, n):
+                s -= row[j] * x[j]
+            x[i] = s / row[i]
+        return x

@@ -12,31 +12,28 @@ evaluates a forest tree by tree and multiplies.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
 import mpmath
 
-from .errors import NotProperlyDecorated, TruncationBelowDegree
+from .errors import NotProperlyDecorated, NumeratorTooLarge, TruncationBelowDegree
 from .forest import (
     DecoratedForest,
     VertexId,
     canonical,
+    check_properly_decorated,
     decorations,
     degree,
     forest_of,
+    overlap_gram,
     subtree_sums,
     vertex_ids,
-)
-from .pairing import (
-    InnerProduct,
-    LinearForm,
-    check_properly_decorated,
-    inner,
-    overlap_gram,
     vertex_weights,
 )
+from .pairing import InnerProduct, LinearForm, inner
 from .projector import (
     GermFraction,
     ProjectionContext,
@@ -50,6 +47,9 @@ from .series import (
     h_series,
     numerator_slice,
 )
+
+# C(n/2 + n - 1, n - 1) terms at degree n: 490,314 at 16, 3,124,550 at 18
+MAX_SLICE_TERMS = 10**6
 
 
 @dataclass(frozen=True)
@@ -159,29 +159,36 @@ def renormalize(
     of degree n gives a rational multiple of pi^n, and 0 when n is odd: its
     numerator prod_v (1 + z_v h(z_v)) has only even-degree terms, and only
     those of degree exactly n reach the value, so just that slice is built
-    and projected with :func:`ev0_piplus_direct`.  ``N`` must be at least
-    the forest degree but does not change the value.  The unfactored
-    evaluation of :func:`expand_r1` on the whole forest is the reference the
-    tests check this against.
+    and projected with :func:`ev0_piplus_direct`.  Unless some tree is odd,
+    a slice of more than :data:`MAX_SLICE_TERMS` terms (a tree of degree 18
+    or more) raises :class:`NumeratorTooLarge` before any projection.  ``N``
+    must be at least the forest degree but does not change the value.  The
+    unfactored evaluation of :func:`expand_r1` on the whole forest is the
+    reference the tests check this against.
     """
     _require_properly_decorated(forest, Q)
     _require_trunc(forest, N)
     weights = vertex_weights(forest, Q)
+    degrees = [t.vertex_count() for t in forest.trees]
+    if any(n % 2 for n in degrees):
+        return RenormalizedValue.from_exact(ZERO_PIPOLY)
+    for n in degrees:
+        if math.comb(n // 2 + n - 1, n - 1) > MAX_SLICE_TERMS:
+            raise NumeratorTooLarge(
+                f"a tree of degree {n} needs more than {MAX_SLICE_TERMS}"
+                " numerator terms"
+            )
     value = ONE_PIPOLY
     for t in forest.trees:
         value = value * _tree_value(forest_of(t), weights)
-        if value.is_zero():
-            break
     return RenormalizedValue.from_exact(value)
 
 
 def _tree_value(
     tree: DecoratedForest, weights: dict[VertexId, Fraction]
 ) -> PiPoly:
-    """Renormalized value of a one-tree forest already validated by the caller."""
+    """Value of an even one-tree forest already validated by the caller."""
     n = degree(tree)
-    if n % 2:
-        return ZERO_PIPOLY
     variables = vertex_ids(tree)
     frac = GermFraction(numerator_slice(variables, n), frozenset(variables))
     ctx = ProjectionContext(overlap_gram(tree, weights))

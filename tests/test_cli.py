@@ -167,6 +167,33 @@ class TestErrorPaths:
             "error: truncation 1 is below the forest degree 2\n",
         )
 
+    @pytest.mark.parametrize("command", ["renorm", "regularize"])
+    def test_deep_nesting_exit_1(self, workdir, command):
+        f = put(workdir, "deep.forest", "(1 " * 5000 + ")" * 5000)
+        assert invoke([command, f]) == (
+            1,
+            "",
+            "error: forest nesting is too deep\n",
+        )
+
+    def test_numerator_too_large_exit_1(self, workdir):
+        f = put(workdir, "l20.forest", "(1 " * 20 + ")" * 20)
+        assert invoke(["renorm", f]) == (
+            1,
+            "",
+            "error: a tree of degree 20 needs more than 1000000 numerator terms\n",
+        )
+
+    def test_deep_similar_pair_exit_1(self, workdir):
+        # parses, and the canonical encodings compare without recursion
+        f1 = put(workdir, "a.forest", "(1 " * 600 + ")" * 600)
+        f2 = put(workdir, "b.forest", "(2 " * 600 + ")" * 600)
+        rc, out, err = invoke(["check-similar", f1, f2])
+        assert (rc, out) == (1, "")
+        assert err == (
+            "error: a tree of degree 600 needs more than 1000000 numerator terms\n"
+        )
+
     def test_missing_file_exit_1(self, workdir):
         rc, _, err = invoke(["renorm", "nope.forest"])
         assert rc == 1

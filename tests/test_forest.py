@@ -75,6 +75,10 @@ class TestParsing:
         with pytest.raises(NonPositiveWeight):
             parse_forest(text)
 
+    def test_deep_nesting_is_a_parse_error(self):
+        with pytest.raises(ParseError, match="forest nesting is too deep"):
+            parse_forest("(1 " * 5000 + ")" * 5000)
+
 
 class TestExplicitMode:
     def test_parse_and_weights(self):
@@ -224,6 +228,16 @@ class TestStructure:
         assert sums[0] == form({0: 1, 1: 1, 2: 1})
         assert sums[1] == basis(1)
         assert sums[2] == basis(2)
+
+    def test_walks_handle_deep_trees(self):
+        t = tree(0, basis(0))
+        for v in range(1, 3000):
+            t = tree(v, basis(v), [t])
+        f = forest_of(t)
+        assert t.vertex_count() == degree(f) == 3000
+        sums = subtree_sums(f)
+        assert sums[2999] == form({v: 1 for v in range(3000)})
+        assert sums[0] == basis(0)
 
 
 class TestShapeCatalog:

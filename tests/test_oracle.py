@@ -2,6 +2,8 @@
 
 import math
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -165,3 +167,12 @@ class TestSubsetOracle:
         f, Q = from_shape(shape, [1] * 13)
         with pytest.raises(ValueError):
             renorm_subset_oracle(f, Q)
+
+
+def test_import_does_not_load_numpy():
+    # numpy is loaded by the first quadrature call, not by the package
+    code = "import sys, forestren; print('numpy' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True
+    )
+    assert (proc.returncode, proc.stdout) == (0, "False\n")

@@ -1,5 +1,7 @@
+import ast
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import hypothesis
 import hypothesis.strategies as strat
@@ -20,6 +22,8 @@ from forestren import (
     is_independent,
 )
 from forestren.forest import from_shape, tree, forest_of
+import forestren.forest
+import forestren.pairing
 from forestren.pairing import ZERO_FORM
 
 import helpers
@@ -81,6 +85,15 @@ class TestInnerProduct:
         assert InnerProduct.from_matrix([[2, 1], [1, 2]]).is_positive_definite()
         assert not InnerProduct.from_matrix([[1, 2], [2, 1]]).is_positive_definite()
         assert not InnerProduct.diagonal({0: 0}).is_positive_definite()
+
+    @pytest.mark.parametrize(
+        "rows",
+        [[[0, 1], [1, 1]], [[-1, 0], [0, 1]], [[2, 0, 1], [0, -3, 0], [1, 0, 2]]],
+    )
+    def test_not_positive_definite_with_nonpositive_pivot(self, rows):
+        # a zero leading pivot of a nonsingular matrix, a negative first
+        # pivot, and a negative pivot after a positive one
+        assert not InnerProduct.from_matrix(rows).is_positive_definite()
 
     def test_scaled(self):
         Q = InnerProduct.diagonal({0: 1, 1: 2}).scaled(Fraction(3, 2))
@@ -156,6 +169,30 @@ class TestGram:
         assert G.det() == 1  # 2*1 - 1*1
         assert G.scaled(2).det() == 4
 
+    def test_det_row_swap_and_singular(self):
+        def matrix(rows):
+            return GramMatrix(
+                tuple(range(len(rows))),
+                tuple(tuple(Fraction(x) for x in row) for row in rows),
+            )
+
+        assert matrix([[0, 1], [1, 0]]).det() == -1
+        assert matrix([[0, 0, 1], [0, 1, 0], [1, 0, 0]]).det() == -1
+        assert matrix([[0, 2, 0], [1, 0, 0], [0, 0, 3]]).det() == -6
+        assert matrix([[1, 2], [2, 4]]).det() == 0
+        assert matrix([[0, 0], [0, 1]]).det() == 0
+        assert matrix([]).det() == 1
+
+    def test_gram_from_inner_ignores_the_overlap_route(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("the reference must not use this")
+
+        f, Q = from_shape(helpers.ladder_shape(3), [1, 2, 3])
+        want = gram(f, Q)
+        monkeypatch.setattr(forestren.forest, "vertex_weights", forbidden)
+        monkeypatch.setattr(forestren.forest, "overlap_gram", forbidden)
+        assert gram_from_inner(f, Q) == want
+
     def test_solve_roundtrip(self):
         f, Q = from_shape(helpers.ladder_shape(3), [1, 2, 3])
         G = gram(f, Q)
@@ -170,3 +207,17 @@ class TestGram:
         assert not G.is_positive_definite()
         with pytest.raises(SingularGram):
             G.solve([0, 1], [Fraction(1), Fraction(0)])
+
+
+def test_pairing_does_not_import_forest():
+    # Linear algebra sits below the forest layer: walks over forests belong
+    # in forest, and importing it here would be a cycle.
+    source = Path(forestren.pairing.__file__).read_text(encoding="utf-8")
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            names = [node.module or ""] + [a.name for a in node.names]
+        elif isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        else:
+            continue
+        assert not any(n.split(".")[-1] == "forest" for n in names), names

@@ -12,6 +12,7 @@ from forestren import (
     InnerProduct,
     NonPositiveWeight,
     NotProperlyDecorated,
+    NumeratorTooLarge,
     PiPoly,
     RegularizedIntegral,
     RenormalizedValue,
@@ -122,6 +123,20 @@ class TestFactoring:
         elapsed = time.perf_counter() - start
         assert str(value.exact) == expected
         assert elapsed < 1.0
+
+    def test_numerator_slice_too_large_is_refused(self):
+        f, Q = parse_forest("(1 " * 20 + ")" * 20)
+        start = time.perf_counter()
+        with pytest.raises(NumeratorTooLarge, match="degree 20 needs more"):
+            renormalize(f, Q)
+        assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("odd_first", [True, False])
+    def test_odd_tree_beats_the_slice_limit(self, odd_first):
+        ladder = "(1 " * 20 + ")" * 20
+        text = f"(1) {ladder}" if odd_first else f"{ladder} (1)"
+        f, Q = parse_forest(text)
+        assert renormalize(f, Q).exact.is_zero()
 
 
 class TestMultiplicativity:
