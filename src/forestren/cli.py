@@ -37,7 +37,14 @@ from .oracle import (
     quad_tree,
 )
 from .projector import piplus_expand
-from .renorm import expand_r1, is_similar, regularize, renormalize
+from .renorm import (
+    MAX_GERM_DEGREE,
+    MAX_GERM_TRUNC_EXCESS,
+    expand_r1,
+    is_similar,
+    regularize,
+    renormalize,
+)
 
 _PARSE_ERRORS = (
     ParseError,
@@ -172,6 +179,17 @@ def _cmd_regularize(args, out) -> None:
 
 def _cmd_germ(args, out) -> None:
     def handle(forest, Q, prefix):
+        deg = forest.degree()
+        if deg > MAX_GERM_DEGREE:
+            raise NumeratorTooLarge(
+                f"germ is limited to forests of degree {MAX_GERM_DEGREE},"
+                f" not {deg}"
+            )
+        if args.trunc is not None and args.trunc > deg + MAX_GERM_TRUNC_EXCESS:
+            raise NumeratorTooLarge(
+                f"germ is limited to truncation {deg + MAX_GERM_TRUNC_EXCESS}"
+                f" at degree {deg}, not {args.trunc}"
+            )
         frac, ctx = expand_r1(forest, Q, args.trunc)
         _emit(prefix, str(piplus_expand(frac, ctx)), out)
 

@@ -228,11 +228,11 @@ def quad_tree(
     prev = None
     for level in range(cfg.max_refinements + 1):
         log_y, log_w = _de_grid(level, cfg)
-        value = float(
-            math.exp(
-                _forest_log_value(forest.trees, log_x, assign, log_y, log_w)[0]
-            )
-        )
+        log_value = _forest_log_value(forest.trees, log_x, assign, log_y, log_w)
+        try:
+            value = float(math.exp(log_value[0]))
+        except OverflowError:
+            raise DomainError("value overflows float64") from None
         if prev is not None and abs(value - prev) <= max(
             cfg.abs_tol, cfg.rel_tol * abs(value)
         ):
@@ -252,9 +252,14 @@ def closed_form_value(
     exponent = 0.0
     for node in iter_vertices(forest):
         exponent += assign.value_of(node.decoration)
-    out = x ** (-exponent)
+    try:
+        out = x ** (-exponent)
+    except OverflowError:
+        out = math.inf
     for val in values.values():
         out *= math.pi / math.sin(math.pi * val)
+    if math.isinf(out):
+        raise DomainError("value overflows float64")
     return out
 
 

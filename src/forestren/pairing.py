@@ -54,10 +54,17 @@ class LinearForm:
         return not self.items
 
     def __add__(self, other: "LinearForm") -> "LinearForm":
-        coeffs: dict[int, Fraction] = dict(self.items)
-        for i, c in other.items:
-            coeffs[i] = coeffs.get(i, Fraction(0)) + c
-        return LinearForm.from_coeffs(coeffs)
+        short, long = sorted((self.items, other.items), key=len)
+        # Reuse the longer form's pairs: a fresh pair per coefficient on
+        # every add leaves deep subtree sums GC-bound.  Keys are unique, so
+        # the sort never compares coefficients.
+        pairs = {p[0]: p for p in long}
+        for i, c in short:
+            prev = pairs.pop(i, None)
+            c = c if prev is None else c + prev[1]
+            if c:
+                pairs[i] = (i, c)
+        return LinearForm(tuple(sorted(pairs.values())))
 
     def __neg__(self) -> "LinearForm":
         return LinearForm(tuple((i, -c) for i, c in self.items))

@@ -11,8 +11,8 @@ orthogonal to the pole span, discard the polar part g(L')/prod L_v, and
 telescope the remainder one correction c*L_v at a time.  Each telescoped
 difference vanishes on {L_v = 0}, so it divides exactly by z_v, yielding a
 fraction with one pole fewer; terms sharing the removed pole are summed
-before recursing.  The base case (no poles) evaluates at zero, or returns
-the numerator itself for the series-valued projection.
+before recursing.  The base case (no poles) returns the numerator itself;
+the value at zero is the constant term of that series-valued projection.
 """
 
 from __future__ import annotations
@@ -55,7 +55,6 @@ class ProjectionContext:
     gram: GramMatrix
     order_rng: Optional[random.Random] = None
     _coeff_cache: dict = field(default_factory=dict, repr=False)
-    _ev0_memo: dict = field(default_factory=dict, repr=False)
     _series_memo: dict = field(default_factory=dict, repr=False)
     _monomial_memo: dict = field(default_factory=dict, repr=False)
 
@@ -89,24 +88,6 @@ def project_coeffs(
     return cached
 
 
-def _telescoping_steps(
-    ctx: ProjectionContext,
-    occurring: frozenset[VertexId],
-    poles: frozenset[VertexId],
-) -> list[tuple[VertexId, VertexId, Fraction]]:
-    """Nonzero corrections (w, v, a_wv), canonically ordered by (w, v)."""
-    steps: list[tuple[VertexId, VertexId, Fraction]] = []
-    for w in sorted(occurring | poles):
-        coeffs = project_coeffs(ctx, poles, w)
-        for v in sorted(poles):
-            c = coeffs.get(v, Fraction(0))
-            if c != 0:
-                steps.append((w, v, c))
-    if ctx.order_rng is not None:
-        ctx.order_rng.shuffle(steps)
-    return steps
-
-
 def _grouped_remainders(
     num: TruncSeries,
     poles: frozenset[VertexId],
@@ -115,24 +96,27 @@ def _grouped_remainders(
     """One telescoping sweep: the summed numerators f_v, keyed by removed pole.
 
     Starts from the fully projected argument (the polar part, which the
-    projection annihilates) and re-adds one correction per step; each
+    projection annihilates) and re-adds one correction (w, v, a_wv) per
+    step, ordered by (w, v), for each slot w the numerator uses; each
     difference is divided exactly by the removed pole variable.
     """
-    occurring = num.occurring()
-    steps = _telescoping_steps(ctx, occurring, poles)
-    # Slot images, starting at L'_w = z_w - sum_v a_wv z_v.  Slots the
-    # numerator never uses are irrelevant and omitted.
+    # Slot images, starting at L'_w = z_w - sum_v a_wv z_v.
     images: dict[VertexId, dict[VertexId, Fraction]] = {}
-    for w in occurring:
+    steps: list[tuple[VertexId, VertexId, Fraction]] = []
+    for w in sorted(num.occurring()):
+        coeffs = project_coeffs(ctx, poles, w)
         img = {w: Fraction(1)}
-        for v, c in project_coeffs(ctx, poles, w).items():
-            img[v] = img.get(v, Fraction(0)) - c
+        for v in sorted(poles):
+            c = coeffs[v]
+            if c != 0:
+                img[v] = img.get(v, Fraction(0)) - c
+                steps.append((w, v, c))
         images[w] = {u: c for u, c in img.items() if c != 0}
+    if ctx.order_rng is not None:
+        ctx.order_rng.shuffle(steps)
     prev = num.subst_linear(images)  # g(L'): purely polar, discarded
     grouped: dict[VertexId, TruncSeries] = {}
     for w, v, c in steps:
-        if w not in images:
-            continue  # numerator does not involve this slot
         img = dict(images[w])
         img[v] = img.get(v, Fraction(0)) + c
         images[w] = {u: cc for u, cc in img.items() if cc != 0}
@@ -148,37 +132,15 @@ def _grouped_remainders(
 
 
 def ev0_piplus(frac: GermFraction, ctx: ProjectionContext) -> PiPoly:
-    """The exact value at zero of the holomorphic projection of ``frac``.
+    """The exact value at zero of :func:`piplus_expand` on ``frac``.
 
     Only the numerator's Taylor terms up to total degree |poles| can reach
     the constant term (linear substitutions preserve homogeneous degree and
     each recursion level performs one exact division), so the numerator is
     truncated to that degree up front.
     """
-    return _ev0(frac.numerator, frac.poles, ctx)
-
-
-def _ev0(
-    num: TruncSeries, poles: frozenset[VertexId], ctx: ProjectionContext
-) -> PiPoly:
-    num = num.truncated(len(poles))
-    if not poles:
-        return num.eval0()
-    if num.is_zero():
-        return ZERO_PIPOLY
-    memo_key = None
-    if ctx.order_rng is None:
-        memo_key = (num.canonical_key(), poles)
-        hit = ctx._ev0_memo.get(memo_key)
-        if hit is not None:
-            return hit
-    total = ZERO_PIPOLY
-    grouped = _grouped_remainders(num, poles, ctx)
-    for v in sorted(grouped):
-        total = total + _ev0(grouped[v], poles - {v}, ctx)
-    if memo_key is not None:
-        ctx._ev0_memo[memo_key] = total
-    return total
+    num = frac.numerator.truncated(len(frac.poles))
+    return _piplus(num, frac.poles, ctx).eval0()
 
 
 def ev0_piplus_direct(frac: GermFraction, ctx: ProjectionContext) -> PiPoly:
@@ -220,11 +182,9 @@ def _monomial_ev0(
 ) -> Fraction:
     """Value of the projection at zero on z^mono / prod of pole variables.
 
-    ``mono`` is a sorted tuple of (variable, exponent) pairs whose total
-    degree equals |poles|; anything else evaluates to zero.
+    ``mono`` is a sorted tuple of (variable, exponent) pairs of total degree
+    |poles|, which the caller ensures and both moves preserve.
     """
-    if sum(e for _, e in mono) != len(poles):
-        return Fraction(0)
     if not poles:
         return Fraction(1)
     key = (mono, poles)

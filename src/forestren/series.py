@@ -58,13 +58,13 @@ class PiPoly:
         return not self.coeffs
 
     def __add__(self, other: "PiPoly") -> "PiPoly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        out = [Fraction(0)] * n
-        for k, c in enumerate(self.coeffs):
+        short, long = sorted((self.coeffs, other.coeffs), key=len)
+        out = list(long)
+        for k, c in enumerate(short):
             out[k] += c
-        for k, c in enumerate(other.coeffs):
-            out[k] += c
-        return PiPoly.from_coeffs(out)
+        while out and out[-1] == 0:
+            out.pop()
+        return PiPoly(tuple(out))
 
     def __neg__(self) -> "PiPoly":
         return PiPoly(tuple(-c for c in self.coeffs))
@@ -402,7 +402,8 @@ def _frac_poly_mul(
             if d1 + sum(ev2) > trunc:
                 continue
             key = tuple(x + y for x, y in zip(ev1, ev2))
-            val = out.get(key, Fraction(0)) + c1 * c2
+            prev = out.get(key)
+            val = c1 * c2 if prev is None else prev + c1 * c2
             if val == 0:
                 out.pop(key, None)
             else:

@@ -3,6 +3,7 @@
 import io
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -86,6 +87,25 @@ class TestGerm:
         renorm_exact = invoke(["renorm", f, "--format", "exact"])[1].strip()
         assert germ_out.startswith(renorm_exact)
 
+    @pytest.mark.parametrize("depth", [6, 14])
+    def test_degree_limit_exit_1(self, workdir, depth):
+        f = put(workdir, "ladder.forest", "(1 " * depth + ")" * depth)
+        start = time.perf_counter()
+        assert invoke(["germ", f]) == (
+            1,
+            "",
+            f"error: germ is limited to forests of degree 5, not {depth}\n",
+        )
+        assert time.perf_counter() - start < 1.0
+
+    def test_truncation_limit_exit_1(self, workdir):
+        f = put(workdir, "l2.forest", "(1 (1))")
+        assert invoke(["germ", f, "--trunc", "5"]) == (
+            1,
+            "",
+            "error: germ is limited to truncation 4 at degree 2, not 5\n",
+        )
+
 
 class TestCheckSimilar:
     def test_similar_pair_reports_value(self, workdir):
@@ -114,6 +134,14 @@ class TestQuadCheck:
         f = put(workdir, "l2.forest", "(1 (1))")
         runs = {invoke(["quad-check", f, "--seed", "7"]) for _ in range(2)}
         assert len(runs) == 1
+
+    def test_overflow_exit_3(self, workdir):
+        f = put(workdir, "l900.forest", "(1 " * 900 + ")" * 900)
+        assert invoke(["quad-check", f]) == (
+            3,
+            "",
+            "error: value overflows float64\n",
+        )
 
     def test_unreachable_tolerance_fails_with_code_3(self, workdir):
         f = put(workdir, "v.forest", "(1)")

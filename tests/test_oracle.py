@@ -92,6 +92,12 @@ class TestQuadTree:
         with pytest.raises(DomainError):
             quad_tree(f, NumericAssignment({0: 0.5}), -1.0)
 
+    def test_overflow_is_a_domain_error(self):
+        f, _ = parse_forest("(1 " * 900 + ")" * 900)
+        assign = admissible_assignment(f, random.Random(0))
+        with pytest.raises(DomainError, match="value overflows float64"):
+            quad_tree(f, assign, 0.5)
+
 
 class TestClosedFormValue:
     def test_single_vertex(self):
@@ -104,6 +110,17 @@ class TestClosedFormValue:
         f, _ = parse_forest("(1)")
         with pytest.raises(DomainError):
             closed_form_value(f, NumericAssignment({0: 1.5}), 1.0)
+
+    def test_overflow_is_a_domain_error(self):
+        f, _ = parse_forest("(1 " * 900 + ")" * 900)
+        assign = admissible_assignment(f, random.Random(0))
+        with pytest.raises(DomainError, match="value overflows float64"):
+            closed_form_value(f, assign, 0.5)
+        # x ** -2.7 alone overflows
+        f, _ = parse_forest("(1) (1) (1)")
+        assign = NumericAssignment({0: 0.9, 1: 0.9, 2: 0.9})
+        with pytest.raises(DomainError, match="value overflows float64"):
+            closed_form_value(f, assign, 1e-200)
 
 
 class TestAdmissibleAssignment:

@@ -170,6 +170,9 @@ class TestSeriesProjection:
             out = piplus_expand(frac, ctx)
             assert out.trunc == frac.numerator.trunc - len(frac.poles)
             assert out.eval0() == ev0_piplus(frac, ctx)
+            # ev0_piplus is the constant term of piplus_expand, so only the
+            # fast path makes this an independent check
+            assert out.eval0() == ev0_piplus_direct(frac, ctx)
 
     def test_numerator_truncation_guard(self):
         _, _, ctx = ladder2_ctx()
@@ -195,7 +198,11 @@ class TestOrderInvariance:
         ctx, frac = rand_fraction(rng)
         shuffled = ProjectionContext(ctx.gram, order_rng=random.Random(0))
         ev0_piplus(frac, shuffled)
-        assert not shuffled._ev0_memo
+        assert not shuffled._series_memo
+        piplus_expand(frac, shuffled)
+        assert not shuffled._series_memo
+        ev0_piplus(frac, ctx)  # the same fraction does fill a plain memo
+        assert ctx._series_memo
 
 
 class TestGramScaling:
