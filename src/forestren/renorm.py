@@ -50,8 +50,8 @@ from .series import (
 
 # C(n/2 + n - 1, n - 1) terms at degree n: 490,314 at 16, 3,124,550 at 18
 MAX_SLICE_TERMS = 10**6
-# germ projects the dense numerator of expand_r1: degree 5 takes up to 3 s
-# at truncation 7 but 15 s at 8, a 6-ladder 20 s, a 6-corolla minutes
+# germ projects the dense numerator of expand_r1; on a 2-core Xeon, degree 5
+# takes up to 3 s at truncation 7 but 15 s at 8, and a 6-corolla minutes
 MAX_GERM_DEGREE = 5
 MAX_GERM_TRUNC_EXCESS = 2
 
