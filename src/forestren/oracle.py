@@ -37,6 +37,12 @@ from .series import PiPoly, TruncSeries, ZERO_PIPOLY, h_series
 if TYPE_CHECKING:  # numpy loads on the first quadrature call, not on import
     import numpy as np
 
+# Kernel entries (grid nodes squared, times vertices) that quad_tree may
+# evaluate at one refinement level.  The test suite peaks at 15.9 million
+# (level 6, 3 vertices) and the benchmark's quadrature trees at 8.0 million
+# (level 5, 6 vertices); a 50-deep ladder would need 66 million at level 5.
+MAX_QUAD_KERNEL = 2 * 10**7
+
 
 @dataclass(frozen=True)
 class QuadConfig:
@@ -217,6 +223,12 @@ def quad_tree(
     float
         The nested integral, matching the numeric rendering of the closed
         form x^(-E) * prod_v pi/sin(pi L_v) within tolerance.
+
+    Raises
+    ------
+    ConvergenceFailure
+        When the refinements run out, or before a level whose dense kernels
+        would hold more than :data:`MAX_QUAD_KERNEL` entries in all.
     """
     if x <= 0:
         raise DomainError(f"external parameter {x} must be positive")
@@ -228,6 +240,13 @@ def quad_tree(
     prev = None
     for level in range(cfg.max_refinements + 1):
         log_y, log_w = _de_grid(level, cfg)
+        kernel = len(log_y) ** 2 * forest.degree()
+        if kernel > MAX_QUAD_KERNEL:
+            raise ConvergenceFailure(
+                "nested quadrature did not stabilize before refinement"
+                f" {level}, which needs {kernel} kernel entries"
+                f" (limit {MAX_QUAD_KERNEL})"
+            )
         log_value = _forest_log_value(forest.trees, log_x, assign, log_y, log_w)
         try:
             value = float(math.exp(log_value[0]))

@@ -85,7 +85,8 @@ class PiPoly:
         return PiPoly.from_coeffs(out)
 
     def scaled(self, c: Rational) -> "PiPoly":
-        c = Fraction(c)
+        if not isinstance(c, Fraction):
+            c = Fraction(c)
         if c == 0:
             return ZERO_PIPOLY
         return PiPoly(tuple(c * x for x in self.coeffs))
@@ -447,17 +448,17 @@ def numerator_slice(variables: Sequence[VertexId], n: int) -> TruncSeries:
         return TruncSeries.zero(variables, n)
     half = n // 2
     u = sinc_inverse_coeffs(half + 1)
-    # exponent vectors over a prefix of the slots -> prod of their u_m
-    partial: dict[ExpVec, Fraction] = {(): Fraction(1)}
+    # (exponents over a prefix of the slots, what they leave of n/2,
+    # prod of their u_m); every u_m is nonzero and u_0 = 1
+    partial = [((), half, Fraction(1))]
     for _ in variables:
-        partial = {
-            ev + (2 * m,): c * u[m]
-            for ev, c in partial.items()
-            for m in range(half - sum(ev) // 2 + 1)
-        }
-    terms = {
-        ev: PiPoly.pi2(half, c) for ev, c in partial.items() if sum(ev) == n
-    }
+        partial = [
+            (ev + (2 * m,), left - m, c * u[m] if m else c)
+            for ev, left, c in partial
+            for m in range(left + 1)
+        ]
+    pad = (Fraction(0),) * half
+    terms = {ev: PiPoly(pad + (c,)) for ev, left, c in partial if not left}
     return TruncSeries(variables, n, terms)
 
 

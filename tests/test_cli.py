@@ -4,6 +4,7 @@ import io
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -143,6 +144,15 @@ class TestQuadCheck:
             "error: value overflows float64\n",
         )
 
+    def test_deep_ladder_refused_exit_3(self, workdir):
+        f = put(workdir, "l50.forest", "(1 " * 50 + ")" * 50)
+        start = time.perf_counter()
+        rc, out, err = invoke(["quad-check", f])
+        assert time.perf_counter() - start < 10.0
+        assert (rc, out) == (3, "")
+        assert err.startswith("error: nested quadrature did not stabilize")
+        assert err.count("\n") == 1
+
     def test_unreachable_tolerance_fails_with_code_3(self, workdir):
         f = put(workdir, "v.forest", "(1)")
         rc, out, err = invoke(["quad-check", f, "--quad-tol", "1e-18"])
@@ -152,6 +162,22 @@ class TestQuadCheck:
 
 
 class TestErrorPaths:
+    def test_non_nesting_gram_exit_2(self, workdir, monkeypatch):
+        # no parsed forest yields such a Gram matrix, so substitute one
+        import forestren.renorm
+        from forestren import GramMatrix
+
+        rows = ((Fraction(2), Fraction(1)), (Fraction(1), Fraction(2)))
+        monkeypatch.setattr(
+            forestren.renorm, "overlap_gram",
+            lambda tree, weights: GramMatrix((0, 1), rows),
+        )
+        f = put(workdir, "l2.forest", "(1 (1))")
+        rc, out, err = invoke(["renorm", f])
+        assert (rc, out) == (2, "")
+        assert err.startswith("error: not a Gram matrix of subtree sums")
+        assert err.count("\n") == 1
+
     def test_parse_error_exit_1(self, workdir):
         f = put(workdir, "bad.forest", "(1")
         rc, out, err = invoke(["renorm", f])

@@ -4,6 +4,7 @@ import math
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -97,6 +98,14 @@ class TestQuadTree:
         assign = admissible_assignment(f, random.Random(0))
         with pytest.raises(DomainError, match="value overflows float64"):
             quad_tree(f, assign, 0.5)
+
+    def test_kernel_bound_is_a_convergence_failure(self):
+        f, _ = parse_forest("(1 " * 50 + ")" * 50)
+        assign = admissible_assignment(f, random.Random(0))
+        start = time.perf_counter()
+        with pytest.raises(ConvergenceFailure, match="before refinement 5"):
+            quad_tree(f, assign, 1.0)
+        assert time.perf_counter() - start < 10.0
 
 
 class TestClosedFormValue:

@@ -1,6 +1,7 @@
 """Projection tests: hand-derived values, structural identities, dual routes."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from forestren import (
     GermFraction,
     ProjectionContext,
     GramMatrix,
+    NotProperlyDecorated,
     PiPoly,
     SingularGram,
     TruncSeries,
@@ -20,7 +22,9 @@ from forestren import (
     parse_forest,
     piplus_expand,
     project_coeffs,
+    renormalize,
 )
+from forestren import projector
 from forestren.forest import from_shape, vertex_ids
 from forestren.renorm import expand_r1
 from forestren.series import ONE_PIPOLY, ZERO_PIPOLY
@@ -221,9 +225,10 @@ class TestDirectRoute:
 
     def test_matches_telescoping_on_random_fractions(self):
         rng = random.Random(77)
-        for _ in range(60):
-            ctx, frac = rand_fraction(rng)
-            assert ev0_piplus_direct(frac, ctx) == ev0_piplus(frac, ctx)
+        for max_vertices in (4, 6):
+            for _ in range(60):
+                ctx, frac = rand_fraction(rng, max_vertices)
+                assert ev0_piplus_direct(frac, ctx) == ev0_piplus(frac, ctx)
 
     def test_degree_filter(self):
         # only total degree == |poles| can contribute
@@ -245,3 +250,119 @@ class TestDirectRoute:
         frac = GermFraction(num, frozenset())
         assert ev0_piplus_direct(frac, ctx) == PiPoly.const(5)
         assert ev0_piplus(frac, ctx) == PiPoly.const(5)
+
+
+def top_degree_fraction(rng, max_vertices=6):
+    """A random forest context and a fraction whose numerator terms all have
+    total degree |poles|, over pole and non-pole variables alike."""
+    f, Q = helpers.random_forest(rng, max_vertices, allow_fractions=True)
+    verts = vertex_ids(f)
+    k = rng.randint(1, len(verts))
+    poles = frozenset(rng.sample(list(verts), k))
+    terms = {}
+    for _ in range(rng.randint(1, 4)):
+        ev = [0] * len(verts)
+        for _ in range(k):
+            ev[rng.randrange(len(verts))] += 1
+        c = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+        terms[tuple(ev)] = PiPoly.pi2(rng.randint(0, 2), c)
+    num = TruncSeries.make(verts, k, terms)
+    return ProjectionContext(gram(f, Q)), GermFraction(num, poles)
+
+
+def unit_tree(shape, n):
+    return from_shape(shape, [1] * n)
+
+
+class TestRegionCoordinates:
+    """The region-coordinate fast path against the telescoping reference."""
+
+    def test_matches_telescoping_on_random_pole_subsets(self):
+        rng = random.Random(2024)
+        for _ in range(200):
+            ctx, frac = top_degree_fraction(rng)
+            ref = ev0_piplus(frac, ProjectionContext(ctx.gram))
+            assert ev0_piplus_direct(frac, ctx) == ref
+
+    def test_pinned_ladder_and_corolla(self):
+        ladder = unit_tree(helpers.ladder_shape(10), 10)
+        assert str(renormalize(*ladder).exact) == "663*pi^10/8192"
+        corolla = unit_tree(helpers.corolla_shape(8), 8)
+        assert str(renormalize(*corolla).exact) == "3072383*pi^8/2903040"
+
+    def test_corolla_10_within_budget_and_scale_free(self):
+        f, Q = unit_tree(helpers.corolla_shape(10), 10)
+        start = time.process_time()
+        value = renormalize(f, Q).exact
+        scaled = renormalize(f, Q.scaled(Fraction(3, 2))).exact
+        elapsed = time.process_time() - start
+        assert elapsed < 10.0, f"corolla n=10 took {elapsed:.1f}s"
+        assert value == scaled
+        assert not value.is_zero()
+
+    def test_fast_path_solves_nothing(self, monkeypatch):
+        forests = [
+            unit_tree(helpers.ladder_shape(6), 6),
+            unit_tree(helpers.corolla_shape(6), 6),
+            parse_forest("(2 (1 (3)) (1)) (1 (5))"),
+        ]
+        want = [renormalize(*fQ).exact for fQ in forests]
+        rng = random.Random(9)
+        fracs = [top_degree_fraction(rng, 5) for _ in range(20)]
+        refs = [ev0_piplus(fr, ProjectionContext(c.gram)) for c, fr in fracs]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the fast path reached a Gram solve")
+
+        monkeypatch.setattr(GramMatrix, "solve", refuse)
+        monkeypatch.setattr(projector, "project_coeffs", refuse)
+        assert [renormalize(*fQ).exact for fQ in forests] == want
+        for (ctx, frac), ref in zip(fracs, refs):
+            assert ev0_piplus_direct(frac, ctx) == ref
+            assert not ctx._coeff_cache
+
+    def test_reference_never_reaches_fast_path(self, monkeypatch):
+        rng = random.Random(10)
+        fracs = [top_degree_fraction(rng, 5) for _ in range(20)]
+        want = [
+            ev0_piplus_direct(fr, ProjectionContext(c.gram)) for c, fr in fracs
+        ]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the reference reached the fast path")
+
+        monkeypatch.setattr(projector, "_region_value", refuse)
+        monkeypatch.setattr(projector.Nesting, "of", refuse)
+        for (ctx, frac), value in zip(fracs, want):
+            assert ev0_piplus(frac, ctx) == value
+            assert not ctx._monomial_memo
+
+
+class TestNesting:
+    def test_reads_forest_order(self):
+        f, Q = parse_forest("(1 (2) (3 (4)))")
+        nest = ProjectionContext(gram(f, Q)).nesting()
+        order = sorted(nest.pos, key=nest.pos.get)
+        assert order == [0, 2, 3, 1]  # decreasing subtree weight
+        assert nest.weight == (10, 7, 4, 2)
+        root, mid, leaf4, leaf2 = range(4)
+        assert nest.anc[leaf4] == 1 << root | 1 << mid
+        assert nest.anc[leaf2] == 1 << root
+        assert nest.desc[root] == 1 << mid | 1 << leaf4 | 1 << leaf2
+
+    def test_positive_definite_non_nesting_gram_rejected(self):
+        two = (Fraction(2), Fraction(1)), (Fraction(1), Fraction(2))
+        ctx = ProjectionContext(GramMatrix((0, 1), two))  # det 3 > 0
+        num = series_monomial((0, 1), 2, (1, 1))
+        frac = GermFraction(num, frozenset({0, 1}))
+        with pytest.raises(NotProperlyDecorated, match="neither 0 nor"):
+            ev0_piplus_direct(frac, ctx)
+        ev0_piplus(frac, ctx)  # the reference takes any positive-definite Gram
+
+    def test_ancestors_must_form_a_chain(self):
+        # vertex 2 lies below both 0 and 1, which are disjoint
+        rows = ((3, 0, 1), (0, 3, 1), (1, 1, 1))
+        g = GramMatrix((0, 1, 2), tuple(tuple(map(Fraction, r)) for r in rows))
+        ctx = ProjectionContext(g)
+        with pytest.raises(NotProperlyDecorated, match="do not nest"):
+            ctx.nesting()
