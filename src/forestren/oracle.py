@@ -6,7 +6,10 @@ the main code:
 * adaptive numerical quadrature of the nested integrals themselves, using a
   double-exponential (tanh-sinh style) substitution evaluated in log space
   so that the improper endpoints and the deeply nested scale ranges stay
-  inside float64;
+  inside float64.  Every vertex integrates over the same grid, so each
+  refinement level builds the kernel 1/(y_j + y_k) once, rescaled to lie in
+  [1/2, 1), and every vertex contracts against it with block-scaled
+  multiply-adds instead of transcendentals;
 * a literal subset-sum re-derivation of the renormalized value, expanding
   the cosecant product into its 2^n Laurent terms and projecting each term
   separately with a randomized telescoping order.
@@ -38,7 +41,8 @@ if TYPE_CHECKING:  # numpy loads on the first quadrature call, not on import
     import numpy as np
 
 # Kernel entries (grid nodes squared, times vertices) that quad_tree may
-# evaluate at one refinement level.  The test suite peaks at 15.9 million
+# contract at one refinement level: they bound its time, while its memory is
+# one nodes-squared kernel per level.  The test suite peaks at 15.9 million
 # (level 6, 3 vertices) and the benchmark's quadrature trees at 8.0 million
 # (level 5, 6 vertices); a 50-deep ladder would need 66 million at level 5.
 MAX_QUAD_KERNEL = 2 * 10**7
@@ -107,10 +111,16 @@ def _de_grid(level: int, cfg: QuadConfig):
     return log_y, log_w
 
 
-def _logsumexp(a: np.ndarray, axis: Optional[int] = None) -> np.ndarray:
+def _finite_max(a: np.ndarray, axis: Optional[int] = None) -> np.ndarray:
+    """Maxima of a along axis (kept), with 0 where no entry is finite."""
     import numpy as np
     m = np.max(a, axis=axis, keepdims=True)
-    m = np.where(np.isfinite(m), m, 0.0)
+    return np.where(np.isfinite(m), m, 0.0)
+
+
+def _logsumexp(a: np.ndarray, axis: Optional[int] = None) -> np.ndarray:
+    import numpy as np
+    m = _finite_max(a, axis)
     with np.errstate(divide="ignore"):
         out = np.log(np.sum(np.exp(a - m), axis=axis))
     return out + np.squeeze(m, axis=axis)
@@ -167,37 +177,111 @@ def _check_strip(
     return values
 
 
-def _forest_log_value(
-    trees: Sequence[DecoratedTree],
-    log_x: np.ndarray,
+# Grid nodes per block of the shared kernel.  Each vertex scales its weights
+# block by block, so every product against the kernel sums terms of one scale.
+_KERNEL_BLOCK = 64
+
+
+class _LevelKernel:
+    """The kernel 1/(y_j + y_k) of one refinement level, shared by every vertex.
+
+    1/(y_j + y_k) = B_jk / max(y_j, y_k), where B_jk = 1/(1 + e^(-|log y_j -
+    log y_k|)) lies in [1/2, 1) and depends on the grid alone.  The nodes are
+    split into blocks of ``_KERNEL_BLOCK``.  Against a block wholly below row
+    j the max is y_j, against one wholly above it is y_k; so with the block's
+    weights scaled by their largest exponent (c_k below, c_k - log y_k above),
+    every off-diagonal block of every row is one multiply-add product against
+    B.  A row's own block, where the max changes sides, stays in log space.
+    """
+
+    def __init__(self, log_y: np.ndarray) -> None:
+        import numpy as np
+        m = len(log_y)
+        blocks = -(-m // _KERNEL_BLOCK)
+        # Padding nodes repeat the last node and always carry weight 0.
+        padded = np.full(blocks * _KERNEL_BLOCK, log_y[-1])
+        padded[:m] = log_y
+        # kernel[b, j, i] = B between row j and node b*_KERNEL_BLOCK + i.
+        kernel = padded.reshape(blocks, 1, _KERNEL_BLOCK) - log_y.reshape(1, m, 1)
+        np.abs(kernel, out=kernel)
+        # Beyond a distance of 40, 1 + e^(-d) rounds to 1 all the same;
+        # clipping spares exp its slow underflow path.
+        np.minimum(kernel, 40.0, out=kernel)
+        np.negative(kernel, out=kernel)
+        np.exp(kernel, out=kernel)
+        kernel += 1.0
+        np.reciprocal(kernel, out=kernel)
+        self.kernel = kernel
+        self.log_y = log_y
+        self.padded = padded
+        self.rows = np.arange(m)
+        self.row_block = self.rows // _KERNEL_BLOCK
+        self.below = np.arange(blocks)[:, None] < self.row_block[None, :]
+        self.diag_cols = (
+            self.row_block[:, None] * _KERNEL_BLOCK + np.arange(_KERNEL_BLOCK)
+        )
+        self.diag_log = -np.logaddexp(log_y[:, None], padded[self.diag_cols])
+
+    def contract(self, log_c: np.ndarray) -> np.ndarray:
+        """log of the sum over k of e^(log_c[k]) / (y_j + y_k), at every node j."""
+        import numpy as np
+        weights = np.full(len(self.padded), -np.inf)
+        weights[: len(log_c)] = log_c
+        lower = weights.reshape(-1, _KERNEL_BLOCK)
+        upper = lower - self.padded.reshape(-1, _KERNEL_BLOCK)
+        lower_top = _finite_max(lower, axis=1)
+        upper_top = _finite_max(upper, axis=1)
+        scaled = np.stack(
+            (np.exp(lower - lower_top), np.exp(upper - upper_top)), axis=2
+        )
+        sums = np.matmul(self.kernel, scaled)
+        with np.errstate(divide="ignore"):
+            terms = np.log(np.where(self.below, sums[:, :, 0], sums[:, :, 1]))
+        terms += np.where(self.below, lower_top - self.log_y, upper_top)
+        terms[self.row_block, self.rows] = _logsumexp(
+            weights[self.diag_cols] + self.diag_log, axis=1
+        )
+        return _logsumexp(terms, axis=0)
+
+
+def _tree_log_weights(
+    tree: DecoratedTree,
     assign: NumericAssignment,
     log_y: np.ndarray,
     log_w: np.ndarray,
+    kernel: Optional[_LevelKernel],
 ) -> np.ndarray:
-    """log of the nested-integral value of a forest at each point of log_x.
+    """log of the root's integrand at each grid node, subtrees integrated out.
 
-    Every nesting level integrates over the same fixed grid; the recursion
-    evaluates each subtree once on that grid and contracts against the
-    kernel for all outer points in one dense operation.
+    Every nesting level integrates over the same grid, so each child is
+    evaluated on it once and contracted against the level's shared kernel.
     """
-    import numpy as np
-    total = np.zeros_like(log_x)
-    for t in trees:
-        a_root = assign.value_of(t.decoration)
-        if t.children:
-            child_log = _forest_log_value(
-                t.children, log_y, assign, log_y, log_w
-            )
-        else:
-            child_log = np.zeros_like(log_y)
-        log_terms = (
-            child_log[None, :]
-            - a_root * log_y[None, :]
-            - np.logaddexp(log_y[None, :], log_x[:, None])
-            + log_w[None, :]
+    log_c = log_w - assign.value_of(tree.decoration) * log_y
+    for child in tree.children:
+        log_c = log_c + kernel.contract(
+            _tree_log_weights(child, assign, log_y, log_w, kernel)
         )
-        total = total + _logsumexp(log_terms, axis=1)
-    return total
+    return log_c
+
+
+def _forest_log_value(
+    trees: Sequence[DecoratedTree],
+    assign: NumericAssignment,
+    log_x: float,
+    log_y: np.ndarray,
+    log_w: np.ndarray,
+) -> float:
+    """log of the nested-integral value of a forest at the point e^log_x."""
+    import numpy as np
+    # Only vertices with children integrate against the kernel.
+    kernel = _LevelKernel(log_y) if any(t.children for t in trees) else None
+    to_root = -np.logaddexp(log_y, log_x)
+    return sum(
+        float(_logsumexp(
+            _tree_log_weights(t, assign, log_y, log_w, kernel) + to_root
+        ))
+        for t in trees
+    )
 
 
 def quad_tree(
@@ -227,29 +311,28 @@ def quad_tree(
     Raises
     ------
     ConvergenceFailure
-        When the refinements run out, or before a level whose dense kernels
-        would hold more than :data:`MAX_QUAD_KERNEL` entries in all.
+        When the refinements run out, or before a level whose vertices would
+        contract more than :data:`MAX_QUAD_KERNEL` kernel entries in all.
     """
     if x <= 0:
         raise DomainError(f"external parameter {x} must be positive")
     _check_strip(forest, assign)
     if forest.is_empty():
         return 1.0
-    import numpy as np
-    log_x = np.array([math.log(x)])
+    log_x = math.log(x)
     prev = None
     for level in range(cfg.max_refinements + 1):
         log_y, log_w = _de_grid(level, cfg)
-        kernel = len(log_y) ** 2 * forest.degree()
-        if kernel > MAX_QUAD_KERNEL:
+        entries = len(log_y) ** 2 * forest.degree()
+        if entries > MAX_QUAD_KERNEL:
             raise ConvergenceFailure(
                 "nested quadrature did not stabilize before refinement"
-                f" {level}, which needs {kernel} kernel entries"
+                f" {level}, which needs {entries} kernel entries"
                 f" (limit {MAX_QUAD_KERNEL})"
             )
-        log_value = _forest_log_value(forest.trees, log_x, assign, log_y, log_w)
+        log_value = _forest_log_value(forest.trees, assign, log_x, log_y, log_w)
         try:
-            value = float(math.exp(log_value[0]))
+            value = float(math.exp(log_value))
         except OverflowError:
             raise DomainError("value overflows float64") from None
         if prev is not None and abs(value - prev) <= max(

@@ -48,8 +48,10 @@ from .series import (
     numerator_slice,
 )
 
-# C(n/2 + n - 1, n - 1) terms at degree n: 490,314 at 16, 3,124,550 at 18
-MAX_SLICE_TERMS = 10**6
+# C(n/2 + n - 1, n - 1) terms at degree n: 77,520 at 14, 490,314 at 16.
+# Projection keeps about 5 region states per term, near 0.8 KB each, so a
+# 16-tree would need about 2 GB; a 14-ladder peaks near 330 MB.
+MAX_SLICE_TERMS = 10**5
 # germ projects the dense numerator of expand_r1; on a 2-core Xeon, degree 5
 # takes up to 3 s at truncation 7 but 15 s at 8, and a 6-corolla minutes
 MAX_GERM_DEGREE = 5
@@ -164,7 +166,7 @@ def renormalize(
     numerator prod_v (1 + z_v h(z_v)) has only even-degree terms, and only
     those of degree exactly n reach the value, so just that slice is built
     and projected with :func:`ev0_piplus_direct`.  Unless some tree is odd,
-    a slice of more than :data:`MAX_SLICE_TERMS` terms (a tree of degree 18
+    a slice of more than :data:`MAX_SLICE_TERMS` terms (a tree of degree 16
     or more) raises :class:`NumeratorTooLarge` before any projection.  ``N``
     must be at least the forest degree but does not change the value.  The
     unfactored evaluation of :func:`expand_r1` on the whole forest is the

@@ -235,8 +235,22 @@ class TestErrorPaths:
         assert invoke(["renorm", f]) == (
             1,
             "",
-            "error: a tree of degree 20 needs more than 1000000 numerator terms\n",
+            "error: a tree of degree 20 needs more than 100000 numerator terms\n",
         )
+
+    def test_16_ladder_refused_before_projection(self, workdir):
+        # a 16-tree's slice has 490,314 terms: projecting it would need
+        # about 2 GB of region states
+        f = put(workdir, "l16.forest", "(1 " * 16 + ")" * 16)
+        start = time.perf_counter()
+        result = invoke(["renorm", f])
+        elapsed = time.perf_counter() - start
+        assert result == (
+            1,
+            "",
+            "error: a tree of degree 16 needs more than 100000 numerator terms\n",
+        )
+        assert elapsed < 5.0, f"refusal took {elapsed:.1f}s"
 
     def test_deep_similar_pair_exit_1(self, workdir):
         # parses, and the canonical encodings compare without recursion
@@ -245,7 +259,7 @@ class TestErrorPaths:
         rc, out, err = invoke(["check-similar", f1, f2])
         assert (rc, out) == (1, "")
         assert err == (
-            "error: a tree of degree 600 needs more than 1000000 numerator terms\n"
+            "error: a tree of degree 600 needs more than 100000 numerator terms\n"
         )
 
     def test_missing_file_exit_1(self, workdir):

@@ -1,10 +1,12 @@
 """Numerical quadrature and subset-expansion cross-checks."""
 
+import gc
 import math
 import random
 import subprocess
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -27,6 +29,7 @@ from forestren import (
     renorm_subset_oracle,
     renormalize,
 )
+from forestren import oracle
 from forestren.forest import from_shape, subtree_sums
 
 import helpers
@@ -106,6 +109,58 @@ class TestQuadTree:
         with pytest.raises(ConvergenceFailure, match="before refinement 5"):
             quad_tree(f, assign, 1.0)
         assert time.perf_counter() - start < 10.0
+
+
+def dense_contraction(log_y, log_c):
+    """Test-only reference: log sum_k e^(c_k) / (y_j + y_k) at every node j,
+    one dense log-space term per pair of nodes."""
+    import numpy as np
+
+    terms = log_c[None, :] - np.logaddexp(log_y[:, None], log_y[None, :])
+    top = terms.max(axis=1)
+    return top + np.log(np.exp(terms - top[:, None]).sum(axis=1))
+
+
+class TestLevelKernel:
+    @pytest.mark.parametrize("level", [3, 4, 5])
+    def test_contraction_matches_dense_log_space(self, level):
+        import numpy as np
+
+        log_y, log_w = oracle._de_grid(level, QuadConfig())
+        kernel = oracle._LevelKernel(log_y)
+        rng = np.random.default_rng(level)
+        m = len(log_y)
+        weight_vectors = [
+            rng.uniform(-3000.0, 3000.0, m),
+            np.linspace(-3000.0, 3000.0, m) + rng.normal(0.0, 5.0, m),
+            np.linspace(3000.0, -3000.0, m) + rng.normal(0.0, 5.0, m),
+            rng.uniform(-5.0, 5.0, m),
+            log_w - 0.4 * log_y,
+        ]
+        for log_c in weight_vectors:
+            got = kernel.contract(log_c)
+            want = dense_contraction(log_y, log_c)
+            # a difference d of logs is a relative difference e^d - 1 of
+            # values; every row is checked, the grid's two ends included
+            assert got.shape == want.shape
+            assert np.max(np.abs(np.expm1(got - want))) <= 1e-12
+
+    def test_no_memory_kept_across_calls(self):
+        f, _ = parse_forest("(1 (1) (1 (1)))")
+        assign = NumericAssignment({0: 0.1, 1: 0.15, 2: 0.1, 3: 0.12})
+        quad_tree(f, assign, 1.0)  # first call loads numpy
+        gc.disable()
+        tracemalloc.start()
+        try:
+            baseline = tracemalloc.get_traced_memory()[0]
+            for _ in range(10):
+                quad_tree(f, assign, 1.0)
+            grown = tracemalloc.get_traced_memory()[0] - baseline
+        finally:
+            tracemalloc.stop()
+            gc.enable()
+        # one level-5 kernel alone is over 10 MB
+        assert grown < 100_000, f"{grown} bytes still held after 10 calls"
 
 
 class TestClosedFormValue:

@@ -290,6 +290,14 @@ class TestRegionCoordinates:
         corolla = unit_tree(helpers.corolla_shape(8), 8)
         assert str(renormalize(*corolla).exact) == "3072383*pi^8/2903040"
 
+    def test_pinned_ladder_12(self):
+        # This golden comes from the fast path itself: no independent
+        # oracle reaches degree 12 (quadrature gives only floats, and the
+        # subset and telescoping references are far too slow there), so it
+        # pins the value against regressions, not a second derivation.
+        ladder = unit_tree(helpers.ladder_shape(12), 12)
+        assert str(renormalize(*ladder).exact) == "4641*pi^12/65536"
+
     def test_corolla_10_within_budget_and_scale_free(self):
         f, Q = unit_tree(helpers.corolla_shape(10), 10)
         start = time.process_time()
