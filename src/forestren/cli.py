@@ -3,15 +3,15 @@
 Commands read forest files in the grammar of :mod:`forestren.forest`, run
 the pipeline, and print deterministic results on stdout; diagnostics go to
 stderr.  Exit codes: 0 success, 1 parse/input error, 2 locality or
-proper-decoration violation, 3 failed numeric check.
+proper-decoration violation, 3 failed numeric check.  A call imports only
+what its command runs: mpmath for a numeric rendering, the oracle and numpy
+for ``quad-check``.
 """
 
 from __future__ import annotations
 
 import argparse
-import random
 import sys
-from pathlib import Path
 from typing import Optional
 
 from .errors import (
@@ -30,12 +30,6 @@ from .errors import (
     VariableMismatch,
 )
 from .forest import parse_forest
-from .oracle import (
-    QuadConfig,
-    admissible_assignment,
-    closed_form_value,
-    quad_tree,
-)
 from .projector import piplus_expand
 from .renorm import (
     MAX_GERM_DEGREE,
@@ -138,7 +132,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load(path: str, explicit_required: bool):
-    text = Path(path).read_text(encoding="utf-8")
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
     if explicit_required and not text.lstrip().startswith("Q="):
         raise ParseError(f"{path}: --explicit requires a leading Q= line")
     return parse_forest(text)
@@ -214,6 +209,16 @@ def _cmd_check_similar(args, out) -> None:
 
 
 def _cmd_quad_check(args, out) -> None:
+    # Only quadrature needs the oracle and, through it, numpy.
+    import random
+
+    from .oracle import (
+        QuadConfig,
+        admissible_assignment,
+        closed_form_value,
+        quad_tree,
+    )
+
     cfg = QuadConfig()
     worst = 0.0
 

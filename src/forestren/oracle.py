@@ -8,8 +8,8 @@ the main code:
   so that the improper endpoints and the deeply nested scale ranges stay
   inside float64.  Every vertex integrates over the same grid, so each
   refinement level builds the kernel 1/(y_j + y_k) once, rescaled to lie in
-  [1/2, 1), and every vertex contracts against it with block-scaled
-  multiply-adds instead of transcendentals;
+  [1/2, 1), and every vertex but a root contracts against it with
+  block-scaled multiply-adds instead of transcendentals;
 * a literal subset-sum re-derivation of the renormalized value, expanding
   the cosecant product into its 2^n Laurent terms and projecting each term
   separately with a randomized telescoping order.
@@ -40,11 +40,13 @@ from .series import PiPoly, TruncSeries, ZERO_PIPOLY, h_series
 if TYPE_CHECKING:  # numpy loads on the first quadrature call, not on import
     import numpy as np
 
-# Kernel entries (grid nodes squared, times vertices) that quad_tree may
+# Kernel entries (grid nodes squared, times the vertices that are not roots,
+# which contract against the level's kernel once each) that quad_tree may
 # contract at one refinement level: they bound its time, while its memory is
-# one nodes-squared kernel per level.  The test suite peaks at 15.9 million
-# (level 6, 3 vertices) and the benchmark's quadrature trees at 8.0 million
-# (level 5, 6 vertices); a 50-deep ladder would need 66 million at level 5.
+# one nodes-squared kernel per level.  The 4-vertex tree (1 (2) (3 (1)))
+# converges at level 6 with 15.9 million, the benchmark's quadrature trees
+# by level 5 with at most 6.6 million (5 contractions); a 50-deep ladder
+# would need 65 million at level 5.
 MAX_QUAD_KERNEL = 2 * 10**7
 
 
@@ -311,8 +313,9 @@ def quad_tree(
     Raises
     ------
     ConvergenceFailure
-        When the refinements run out, or before a level whose vertices would
-        contract more than :data:`MAX_QUAD_KERNEL` kernel entries in all.
+        When the refinements run out, or before a level whose non-root
+        vertices would contract more than :data:`MAX_QUAD_KERNEL` kernel
+        entries in all.
     """
     if x <= 0:
         raise DomainError(f"external parameter {x} must be positive")
@@ -320,10 +323,11 @@ def quad_tree(
     if forest.is_empty():
         return 1.0
     log_x = math.log(x)
+    contractions = forest.degree() - len(forest.trees)
     prev = None
     for level in range(cfg.max_refinements + 1):
         log_y, log_w = _de_grid(level, cfg)
-        entries = len(log_y) ** 2 * forest.degree()
+        entries = len(log_y) ** 2 * contractions
         if entries > MAX_QUAD_KERNEL:
             raise ConvergenceFailure(
                 "nested quadrature did not stabilize before refinement"

@@ -19,6 +19,8 @@ from typing import Mapping, Sequence, Union
 from .errors import IndexOutOfRange, SingularGram
 
 Rational = Union[Fraction, int]
+# Fractions are immutable, so every missing entry can share one zero.
+_ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -48,7 +50,7 @@ class LinearForm:
         for i, c in self.items:
             if i == index:
                 return c
-        return Fraction(0)
+        return _ZERO
 
     def is_zero(self) -> bool:
         return not self.items
@@ -137,7 +139,7 @@ class InnerProduct:
     def entry(self, i: int, j: int) -> Fraction:
         if i > j:
             i, j = j, i
-        return self._table.get((i, j), Fraction(0))
+        return self._table.get((i, j), _ZERO)
 
     @staticmethod
     def diagonal(weights: Mapping[int, Rational]) -> "InnerProduct":

@@ -26,14 +26,16 @@ linear system.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import NamedTuple, Optional
+from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from .errors import NotProperlyDecorated, SingularGram, VariableMismatch
 from .pairing import GramMatrix
 from .series import PiPoly, Rational, TruncSeries, VertexId, ZERO_PIPOLY
+
+if TYPE_CHECKING:  # callers that randomize the order bring their own
+    import random
 
 
 @dataclass(frozen=True)

@@ -13,11 +13,10 @@ evaluates a forest tree by tree and multiplies.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
-
-import mpmath
+from functools import cached_property
+from typing import TYPE_CHECKING, Optional
 
 from .errors import NotProperlyDecorated, NumeratorTooLarge, TruncationBelowDegree
 from .forest import (
@@ -47,6 +46,9 @@ from .series import (
     h_series,
     numerator_slice,
 )
+
+if TYPE_CHECKING:  # mpmath loads on the first numeric rendering
+    import mpmath
 
 # C(n/2 + n - 1, n - 1) terms at degree n: 77,520 at 14, 490,314 at 16.
 # Projection keeps about 5 region states per term, near 0.8 KB each, so a
@@ -80,16 +82,27 @@ class RegularizedIntegral:
 
 @dataclass(frozen=True)
 class RenormalizedValue:
-    """Exact value in Q[pi^2] together with a high-precision numeric rendering."""
+    """Exact value in Q[pi^2] together with a high-precision numeric rendering.
+
+    ``numeric`` is evaluated at ``dps`` decimal digits on first access, so a
+    value that is only printed exactly never loads mpmath.  Equality and
+    hashing follow ``exact`` alone.
+    """
 
     exact: PiPoly
-    numeric: mpmath.mpf
+    dps: int = field(default=30, compare=False)
 
     @staticmethod
     def from_exact(exact: PiPoly, dps: int = 30) -> "RenormalizedValue":
-        return RenormalizedValue(exact, exact.evalf(dps))
+        return RenormalizedValue(exact, dps)
+
+    @cached_property
+    def numeric(self) -> mpmath.mpf:
+        return self.exact.evalf(self.dps)
 
     def numeric_str(self, digits: int = 17) -> str:
+        import mpmath
+
         return mpmath.nstr(self.numeric, digits)
 
 

@@ -17,11 +17,12 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Mapping, Optional, Sequence, Union
-
-import mpmath
+from typing import TYPE_CHECKING, Mapping, Optional, Sequence, Union
 
 from .errors import NotDivisible, VariableMismatch
+
+if TYPE_CHECKING:  # mpmath loads on the first numeric evaluation
+    import mpmath
 
 Rational = Union[Fraction, int]
 VertexId = int
@@ -93,6 +94,8 @@ class PiPoly:
 
     def evalf(self, dps: int = 30) -> mpmath.mpf:
         """Numeric value with pi^2 evaluated at the stated precision."""
+        import mpmath
+
         with mpmath.workdps(dps):
             pi2 = mpmath.pi ** 2
             total = mpmath.mpf(0)

@@ -153,6 +153,13 @@ class TestQuadCheck:
         assert err.startswith("error: nested quadrature did not stabilize")
         assert err.count("\n") == 1
 
+    def test_four_vertex_tree_converges(self, workdir):
+        # converges at refinement 6, three kernel contractions per level
+        f = put(workdir, "t4.forest", "(1 (2) (3 (1)))")
+        rc, out, err = invoke(["quad-check", f, "--seed", "0"])
+        assert (rc, err) == (0, "")
+        assert out.startswith("max relative error: ")
+
     def test_unreachable_tolerance_fails_with_code_3(self, workdir):
         f = put(workdir, "v.forest", "(1)")
         rc, out, err = invoke(["quad-check", f, "--quad-tol", "1e-18"])

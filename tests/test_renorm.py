@@ -247,3 +247,44 @@ class TestRenormalizedValue:
     def test_numeric_str_digits(self):
         val = RenormalizedValue.from_exact(PiPoly.const(Fraction(1, 3)))
         assert val.numeric_str(digits=5) == "0.33333"
+
+    def test_numeric_is_evalf_at_30_digits(self):
+        f, Q = parse_forest("(1 (2) (1 (1)))")
+        val = renormalize(f, Q)
+        assert not val.exact.is_zero()
+        assert val.numeric == val.exact.evalf(30)
+        assert val.numeric is val.numeric  # evaluated once, then kept
+
+    def test_numeric_follows_requested_precision(self):
+        exact = PiPoly.pi2(2, Fraction(3, 7))
+        val = RenormalizedValue.from_exact(exact, 50)
+        assert val.numeric == exact.evalf(50)
+        assert val.numeric != exact.evalf(30)
+        with mpmath.workdps(50):
+            assert abs(val.numeric - 3 * mpmath.pi**4 / 7) < mpmath.mpf("1e-45")
+
+    @pytest.mark.parametrize(
+        "exact, rendered",
+        [
+            (PiPoly.pi2(1, Fraction(1, 4)), "2.4674011002723397"),
+            (PiPoly.pi2(6, Fraction(4641, 65536)), "65453.083365630792"),
+            (PiPoly.pi2(7, Fraction(16575, 262144)), "576782.17825919496"),
+            (
+                PiPoly.from_coeffs([Fraction(-1, 3), 0, Fraction(5, 7)]),
+                "69.244588833811265",
+            ),
+        ],
+    )
+    def test_numeric_str_goldens(self, exact, rendered):
+        # pi^2/4, ladder 12 and ladder 14 as printed by the CLI
+        assert RenormalizedValue.from_exact(exact).numeric_str() == rendered
+
+    def test_equality_and_hash_follow_exact(self):
+        exact = PiPoly.pi2(1, Fraction(1, 4))
+        a = RenormalizedValue.from_exact(exact)
+        b = RenormalizedValue.from_exact(PiPoly.pi2(1, Fraction(1, 4)), 50)
+        # an evaluated value still equals an unevaluated one
+        assert a.numeric == exact.evalf(30)
+        assert a == b
+        assert hash(a) == hash(b)
+        assert a != RenormalizedValue.from_exact(PiPoly.pi2(1, Fraction(1, 3)))
