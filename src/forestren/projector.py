@@ -28,11 +28,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd
+from operator import getitem
 from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from .errors import NotProperlyDecorated, SingularGram, VariableMismatch
 from .pairing import GramMatrix
-from .series import PiPoly, Rational, TruncSeries, VertexId, ZERO_PIPOLY
+from .series import PiPoly, TruncSeries, VertexId, ZERO_PIPOLY
 
 if TYPE_CHECKING:  # callers that randomize the order bring their own
     import random
@@ -111,8 +113,9 @@ class ProjectionContext:
     ``order_rng`` randomizes the telescoping order when set (the projected
     value is provably order-independent; randomized runs exist to test that).
     Memoization is bypassed in that case so every run really recomputes.
-    The fast path reads the :class:`Nesting` of ``gram`` on first use.
-    Caches are only ever added to, so concurrent readers are safe.
+    The fast path reads the :class:`Nesting` of ``gram`` and its
+    :class:`_Packing` on first use.  Caches are only ever added to, so
+    concurrent readers are safe.
     """
 
     gram: GramMatrix
@@ -122,6 +125,7 @@ class ProjectionContext:
     _monomial_memo: dict = field(default_factory=dict, repr=False)
     _region_cache: dict = field(default_factory=dict, repr=False)
     _nesting: Optional[Nesting] = field(default=None, repr=False)
+    _packing: Optional[_Packing] = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         if not self.gram.is_positive_definite():
@@ -135,30 +139,56 @@ class ProjectionContext:
             self._nesting = Nesting.of(self.gram)
         return self._nesting
 
+    def packing(self) -> _Packing:
+        """The bit layout of the fast path's states, built on first use."""
+        if self._packing is None:
+            self._packing = _Packing.of(len(self.nesting().pos))
+        return self._packing
+
     def region(
         self, poles: int, i: int
-    ) -> tuple[tuple[int, ...], Fraction, int]:
+    ) -> tuple[int, int, tuple[int, ...], int, int, int]:
         """Where position i sits among the poles of the bit mask ``poles``.
 
-        Returns the maximal poles strictly below i, the weight W_i minus
-        theirs, and the nearest pole strictly above i (-1 if none), all in
-        :meth:`nesting` positions.  For a pole the weight is its region
-        weight R(i); for a non-pole it is the squared norm of the part of
-        L_i that lies in no pole's subtree.
+        Returns ``(z_terms, y_terms, tops, share_num, share_den, up)``:
+        the maximal poles ``tops`` strictly below i, the weight W_i minus
+        theirs as a reduced pair of ints, and the nearest pole ``up``
+        strictly above i (-1 if none), all in :meth:`nesting` positions;
+        ``z_terms`` and ``y_terms`` count the terms that moves 2 and 3 of
+        :func:`ev0_piplus_direct` make on i.  For a pole the weight is its
+        region weight R(i); for a non-pole it is the squared norm of the
+        part of L_i that lies in no pole's subtree.  Entries are cached
+        under the one int ``i << n | poles``, n the vertex count.
         """
-        key = (poles, i)
+        nest = self.nesting()
+        key = i << len(nest.pos) | poles
         hit = self._region_cache.get(key)
         if hit is None:
-            nest = self.nesting()
-            below = nest.desc[i] & poles
+            w = nest.weight[i]
+            num, den = w.numerator, w.denominator
             tops = []
-            share = nest.weight[i]
-            for c in range(i + 1, below.bit_length()):
-                if below >> c & 1 and not nest.anc[c] & below:
-                    tops.append(c)
-                    share -= nest.weight[c]
+            rest = nest.desc[i] & poles
+            while rest:
+                c = (rest & -rest).bit_length() - 1
+                rest &= ~(nest.desc[c] | 1 << c)  # c is a top: skip below
+                tops.append(c)
+                w = nest.weight[c]
+                if w.denominator == den:
+                    num -= w.numerator
+                else:
+                    num, den = num * w.denominator - w.numerator * den, (
+                        den * w.denominator
+                    )
+            g = gcd(num, den)
             up = (nest.anc[i] & poles).bit_length() - 1
-            hit = self._region_cache[key] = (tuple(tops), share, up)
+            hit = self._region_cache[key] = (
+                len(tops) + (up >= 0),
+                len(tops) + 1,
+                tuple(tops),
+                num // g,
+                den // g,
+                up,
+            )
         return hit
 
 
@@ -236,6 +266,7 @@ def ev0_piplus(frac: GermFraction, ctx: ProjectionContext) -> PiPoly:
     each recursion level performs one exact division), so the numerator is
     truncated to that degree up front.
     """
+    _require_vertices(frac, ctx)
     num = frac.numerator.truncated(len(frac.poles))
     return _piplus(num, frac.poles, ctx).eval0()
 
@@ -277,128 +308,197 @@ def ev0_piplus_direct(frac: GermFraction, ctx: ProjectionContext) -> PiPoly:
     :func:`ev0_piplus` remains the reference implementation; the two are
     checked against each other in the test suite.
     """
+    _require_vertices(frac, ctx)
     n = len(frac.poles)
     num = frac.numerator
     terms = [(exps, c) for exps, c in num.terms.items() if sum(exps) == n]
     if not terms:
         return ZERO_PIPOLY
-    total: list[Rational] = []  # coefficients of Pi^k
     nest = ctx.nesting()
-    pos = [nest.pos[v] for v in num.variables]
-    is_pole = [v in frac.poles for v in num.variables]
+    unit = ctx.packing().unit
+    # what exponent e of each variable adds to a state; a pole variable
+    # first loses one power to move 1, a plain division while no region
+    # symbol occurs
+    add = []
+    for v in num.variables:
+        p = nest.pos[v]
+        z = unit[2 * p]
+        if v in frac.poles:
+            add.append([0] + [(e - 1) * z - (1 << p) for e in range(1, n + 1)])
+        else:
+            add.append([e * z for e in range(n + 1)])
     all_poles = sum(1 << nest.pos[p] for p in frac.poles)
+    # the coefficients of Pi^k, as numerator sums by denominator
+    sums: list[dict[int, int]] = []
     for exps, coeff in terms:
-        # No region symbol occurs yet, so move 1 on each pole variable that
-        # does is a plain division.
-        poles = all_poles
-        mono = []
-        for i, e in enumerate(exps):
-            if e and is_pole[i]:
-                poles &= ~(1 << pos[i])
-                e -= 1
-            if e:
-                mono.append((2 * pos[i], e))
-        weight = _region_value(ctx, tuple(sorted(mono)), poles)
-        if weight:
-            total += [0] * (len(coeff.coeffs) - len(total))
-            for k, c in enumerate(coeff.coeffs):
+        state = sum(map(getitem, add, exps), all_poles)
+        wn, wd = _region_value(ctx, state)
+        if wn:
+            sums += [{} for _ in range(len(coeff.coeffs) - len(sums))]
+            for acc, c in zip(sums, coeff.coeffs):
                 if c:
-                    total[k] += c * weight
-    return PiPoly.from_coeffs(total)
+                    d = c.denominator * wd
+                    acc[d] = acc.get(d, 0) + c.numerator * wn
+    return PiPoly.from_coeffs(
+        [sum((Fraction(v, d) for d, v in acc.items()), Fraction(0))
+         for acc in sums]
+    )
 
 
-# Monomials in region coordinates are sorted tuples of (symbol, exponent)
-# pairs over nesting positions i: symbol 2*i is z_i, the subtree sum at i,
-# and 2*i + 1 is y_i / R(i), the region coordinate of the pole at i scaled
-# by its region weight.  Scaled, both coordinates of a merge project to the
-# merged one with no factor.  Pole sets are bit masks over the positions.
+def _require_vertices(frac: GermFraction, ctx: ProjectionContext) -> None:
+    """Raise VariableMismatch unless every numerator variable is a vertex."""
+    extra = set(frac.numerator.variables).difference(ctx.gram.vertices)
+    if extra:
+        raise VariableMismatch(
+            f"numerator variables {sorted(extra)} are not vertices of the"
+            " Gram matrix"
+        )
 
 
-def _region_value(ctx: ProjectionContext, mono: tuple, poles: int) -> Rational:
-    """Value at zero of the projection of mono / prod of the pole z's.
+# A state of the fast path is one int: bit p (p < n, the vertex count) says
+# that nesting position p is a pole, and above the pole bits sits a packed
+# monomial in region coordinates, one exponent field of ``width`` bits per
+# symbol.  Symbol 2*i is z_i, the subtree sum at position i, and 2*i + 1 is
+# y_i / R(i), the region coordinate of the pole at i scaled by its region
+# weight; scaled, both coordinates of a merge project to the merged one with
+# no factor.  Moves keep the degree equal to the pole count, which is at
+# most n, so ``width`` = n.bit_length() bits hold every exponent: bumping
+# one is an integer add and dropping a pole clears its bit.  A state with
+# no pole is 0.  Values are reduced (numerator, denominator) pairs of ints
+# with a positive denominator, reduced once per stored state.  On unit
+# ladders of 10, 12 and 14 vertices the memo and the region cache hold
+# 238-245 bytes per state (tracemalloc); sorted tuples of (symbol, exponent)
+# pairs with Fraction values took 501-587.
 
-    ``mono`` has degree |poles| and holds no pole's own z; the moves keep
-    both true.  Each step rewrites one factor of the symbol whose move has
-    the fewest terms, on a tie the last in symbol order: the one of
+_ZERO = (0, 1)
+_ONE = (1, 1)
+
+
+class _Packing(NamedTuple):
+    """The bit layout of states over n positions (see above).
+
+    ``unit[s]`` is 1 in the lowest bit of symbol s's field, ``shift[s]``
+    that bit's index, ``below[s]`` = unit[s] - 1 masks the pole bits and
+    the fields of smaller symbols, and ``rkey[s]`` is the position part
+    (s >> 1) << n of a :meth:`ProjectionContext.region` key.
+    """
+
+    width: int
+    field: int  # mask of one field
+    poles: int  # mask of the pole bits
+    unit: tuple[int, ...]
+    shift: tuple[int, ...]
+    below: tuple[int, ...]
+    rkey: tuple[int, ...]
+
+    @staticmethod
+    def of(n: int) -> "_Packing":
+        width = n.bit_length()
+        shift = tuple(n + s * width for s in range(2 * n))
+        unit = tuple(1 << t for t in shift)
+        return _Packing(
+            width,
+            (1 << width) - 1,
+            (1 << n) - 1,
+            unit,
+            shift,
+            tuple(u - 1 for u in unit),
+            tuple((s >> 1) << n for s in range(2 * n)),
+        )
+
+
+def _region_value(ctx: ProjectionContext, state: int) -> tuple[int, int]:
+    """Value at zero of the projection of a state's monomial / prod of the
+    pole z's, as a reduced (numerator, denominator) pair.
+
+    The monomial has degree |poles| and holds no pole's own z; the moves
+    keep both true.  Each step rewrites one factor of the symbol whose move
+    has the fewest terms, on a tie the last in symbol order: the one of
     smallest weight, a region symbol before the z at the same position.
     """
-    if not poles:
-        return 1
-    key = (mono, poles)
-    hit = ctx._monomial_memo.get(key)
+    if not state:
+        return _ONE
+    memo = ctx._monomial_memo
+    hit = memo.get(state)
     if hit is not None:
         return hit
-    best, fewest = 0, None
-    for s, _ in mono:
-        tops, _, a = ctx.region(poles, s >> 1)
-        terms = len(tops) + (1 if s & 1 else a >= 0)
-        if fewest is None or terms <= fewest:
-            best, fewest = s, terms
+    pk = ctx._packing
+    regions = ctx._region_cache
+    poles = state & pk.poles
+    # scan the occurring symbols from the last down; a later one wins ties
+    best = entry = None
+    fewest = 1 << 30
+    rest = state
+    width, offset, below, rkey = pk.width, pk.shift[0], pk.below, pk.rkey
+    while rest > poles:
+        s = (rest.bit_length() - 1 - offset) // width
+        rest &= below[s]
+        e = regions.get(rkey[s] | poles)
+        if e is None:
+            e = ctx.region(poles, s >> 1)
+        terms = e[s & 1]
+        if terms < fewest:
+            best, entry, fewest = s, e, terms
+    _, _, tops, share_num, share_den, a = entry
     i = best >> 1
-    tops, share, a = ctx.region(poles, i)
-    rest = _bump(mono, best, -1)
+    rest = state - pk.unit[best]
     if best & 1:
         # move 3: y_i / R(i) = (z_i - sum of z_c over i's child poles) / R(i)
-        val = _drop_pole(ctx, rest, poles, i)
+        parts = [_drop_pole(ctx, rest, i, a)]
         for c in tops:
-            v = _drop_pole(ctx, rest, poles, c)
-            if v:
-                val -= v
-        if val:
-            val /= share
+            vn, vd = _drop_pole(ctx, rest, c, i)
+            parts.append((-vn, vd))
+        num, den = _pair_sum(parts)
+        num *= share_den
+        den *= share_num
     else:
         # move 2: z_i -> sum of z_c + (W_i - sum of W_c) * y_a / R(a)
-        parts = [_drop_pole(ctx, rest, poles, c) for c in tops]
+        parts = [_drop_pole(ctx, rest, c, a) for c in tops]
         if a >= 0:
-            parts.append(
-                share * _region_value(ctx, _bump(rest, 2 * a + 1, 1), poles)
-            )
-        parts = [v for v in parts if v]
-        # summed from the first part: adding it to 0 would cost a Fraction
-        val = sum(parts[1:], parts[0]) if parts else 0
-    ctx._monomial_memo[key] = val
+            vn, vd = _region_value(ctx, rest + pk.unit[2 * a + 1])
+            parts.append((vn * share_num, vd * share_den))
+        num, den = _pair_sum(parts)
+    if num:
+        g = gcd(num, den)
+        val = (num // g, den // g)
+    else:
+        val = _ZERO
+    memo[state] = val
     return val
 
 
 def _drop_pole(
-    ctx: ProjectionContext, mono: tuple, poles: int, p: int
-) -> Rational:
-    """Move 1 on z_p * mono: divide z_p out and drop pole p.
+    ctx: ProjectionContext, state: int, p: int, a: int
+) -> tuple[int, int]:
+    """Move 1 on z_p * the state's monomial: divide z_p out and drop pole p.
 
     Region p merges into the region of p's nearest pole ancestor a, onto
     which the scaled coordinates of both regions project; without a pole
-    ancestor, region p leaves the pole span and its coordinate projects to 0.
+    ancestor (a = -1), region p leaves the pole span and its coordinate
+    projects to 0.
     """
+    pk = ctx._packing
     yp = 2 * p + 1
-    i = 0
-    for s, e in mono:
-        if s == yp:
-            i = e
-            break
-    if i:
-        a = ctx.region(poles, p)[2]
+    e = state >> pk.shift[yp] & pk.field
+    if e:
         if a < 0:
-            return 0
-        mono = _bump(tuple(pr for pr in mono if pr[0] != yp), 2 * a + 1, i)
-    return _region_value(ctx, mono, poles & ~(1 << p))
+            return _ZERO
+        state += e * (pk.unit[2 * a + 1] - pk.unit[yp])
+    return _region_value(ctx, state - (1 << p))
 
 
-def _bump(mono: tuple, sym: int, delta: int) -> tuple:
-    """``mono`` with the exponent of ``sym`` changed by ``delta``."""
-    out = []
-    done = False
-    for s, e in mono:
-        if s == sym:
-            e += delta
-            done = True
-        elif not done and s > sym:
-            out.append((sym, delta))
-            done = True
-        if e:
-            out.append((s, e))
-    if not done:
-        out.append((sym, delta))
-    return tuple(out)
+def _pair_sum(parts: list[tuple[int, int]]) -> tuple[int, int]:
+    """The sum of (numerator, denominator) pairs, not reduced."""
+    num, den = 0, 1
+    for vn, vd in parts:
+        if vn:
+            if not num:
+                num, den = vn, vd
+            elif vd == den:
+                num += vn
+            else:
+                num, den = num * vd + vn * den, den * vd
+    return num, den
 
 
 def piplus_expand(frac: GermFraction, ctx: ProjectionContext) -> TruncSeries:
@@ -407,6 +507,7 @@ def piplus_expand(frac: GermFraction, ctx: ProjectionContext) -> TruncSeries:
     The output truncation is the numerator truncation minus the pole count;
     its constant term equals :func:`ev0_piplus`.
     """
+    _require_vertices(frac, ctx)
     if frac.numerator.trunc < len(frac.poles):
         raise ValueError(
             "numerator truncation must be at least the number of poles"

@@ -51,8 +51,9 @@ if TYPE_CHECKING:  # mpmath loads on the first numeric rendering
     import mpmath
 
 # C(n/2 + n - 1, n - 1) terms at degree n: 77,520 at 14, 490,314 at 16.
-# Projection keeps about 5 region states per term, near 0.8 KB each, so a
-# 16-tree would need about 2 GB; a 14-ladder peaks near 330 MB.
+# Projection keeps about 5 region states per term, about 250 bytes each
+# (0.4 KB of peak RSS), so a 16-tree would need about 1 GB; a 14-ladder
+# peaks near 170 MB.
 MAX_SLICE_TERMS = 10**5
 # germ projects the dense numerator of expand_r1; on a 2-core Xeon, degree 5
 # takes up to 3 s at truncation 7 but 15 s at 8, and a 6-corolla minutes

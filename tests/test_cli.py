@@ -247,7 +247,7 @@ class TestErrorPaths:
 
     def test_16_ladder_refused_before_projection(self, workdir):
         # a 16-tree's slice has 490,314 terms: projecting it would need
-        # about 2 GB of region states
+        # about 1 GB of region states
         f = put(workdir, "l16.forest", "(1 " * 16 + ")" * 16)
         start = time.perf_counter()
         result = invoke(["renorm", f])

@@ -1,5 +1,6 @@
 """Projection tests: hand-derived values, structural identities, dual routes."""
 
+import math
 import random
 import time
 from fractions import Fraction
@@ -27,7 +28,7 @@ from forestren import (
 from forestren import projector
 from forestren.forest import from_shape, vertex_ids
 from forestren.renorm import expand_r1
-from forestren.series import ONE_PIPOLY, ZERO_PIPOLY
+from forestren.series import ONE_PIPOLY, ZERO_PIPOLY, numerator_slice
 
 import helpers
 
@@ -92,6 +93,32 @@ class TestGuards:
         num = TruncSeries.one((0, 1), 2)
         with pytest.raises(VariableMismatch):
             GermFraction(num, frozenset({7}))
+
+    # The Gram matrix of (1 (1)) has vertices 0 and 1 only; before the
+    # guard, variable 2 gave a bare KeyError or, in the reference with 2 a
+    # pole, a silent value of 1.
+    def test_extra_pole_variable_rejected_by_fast_path(self):
+        _, _, ctx = ladder2_ctx()
+        num = series_monomial((0, 1, 2), 3, (1, 1, 1))
+        frac = GermFraction(num, frozenset({0, 1, 2}))
+        with pytest.raises(VariableMismatch, match=r"\[2\] are not vertices"):
+            ev0_piplus_direct(frac, ctx)
+
+    def test_extra_pole_variable_rejected_by_reference(self):
+        _, _, ctx = ladder2_ctx()
+        num = series_monomial((0, 1, 2), 3, (1, 1, 1))
+        frac = GermFraction(num, frozenset({0, 1, 2}))
+        for project in (ev0_piplus, piplus_expand):
+            with pytest.raises(VariableMismatch, match="not vertices"):
+                project(frac, ctx)
+
+    def test_extra_non_pole_variable_rejected(self):
+        _, _, ctx = ladder2_ctx()
+        num = series_monomial((0, 1, 2), 2, (1, 0, 1))
+        frac = GermFraction(num, frozenset({0, 1}))
+        for project in (ev0_piplus_direct, ev0_piplus, piplus_expand):
+            with pytest.raises(VariableMismatch, match="not vertices"):
+                project(frac, ctx)
 
     def test_context_requires_positive_definite_gram(self):
         bad = GramMatrix(
@@ -297,6 +324,55 @@ class TestRegionCoordinates:
         # pins the value against regressions, not a second derivation.
         ladder = unit_tree(helpers.ladder_shape(12), 12)
         assert str(renormalize(*ladder).exact) == "4641*pi^12/65536"
+
+    def test_pinned_corollas(self):
+        # Fast-path goldens, like ladder 12 above: no independent oracle
+        # reaches them.  The rational-weight corolla has 128-digit terms.
+        corolla = unit_tree(helpers.corolla_shape(12), 12)
+        assert str(renormalize(*corolla).exact) == (
+            "496363916603*pi^12/5748019200"
+        )
+        f, Q = parse_forest("(3/2 (1) (2/3) (5) (7/4) (2) (9/2) (1/3) (4) (5/2))")
+        assert str(renormalize(f, Q).exact) == (
+            "198675380577239793591656187867440419967083357757828269939901608"
+            "06033949404636559423605430156102725630416956273162491114064091533"
+            "*pi^10/"
+            "256603015484462309760550114581940684804566045010418993547746185"
+            "1731134515363813088674569118773812933099335712534136750080000000"
+        )
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 15, 16, 17, 31, 32, 33])
+    def test_leaf_power_over_a_full_ladder(self, n):
+        # z_leaf^n over every vertex of the unit n-ladder is 1/n!.  After
+        # the leaf's own pole is divided out, one exponent reaches n - 1,
+        # across the 4/5- and 5/6-bit boundaries of a packed field.
+        f, Q = unit_tree(helpers.ladder_shape(n), n)
+        ctx = ProjectionContext(gram(f, Q))
+        verts = vertex_ids(f)
+        leaf = min(verts, key=lambda v: ctx.gram.entry(v, v))
+        exps = [n if v == leaf else 0 for v in verts]
+        frac = GermFraction(series_monomial(verts, n, exps), frozenset(verts))
+        value = ev0_piplus_direct(frac, ctx)
+        assert value == PiPoly.const(Fraction(1, math.factorial(n)))
+        if n <= 5:
+            assert ev0_piplus(frac, ProjectionContext(ctx.gram)) == value
+
+    @pytest.mark.parametrize(
+        "shape, n, states",
+        [
+            (helpers.ladder_shape, 8, 1605),
+            (helpers.ladder_shape, 10, 10251),
+            (helpers.corolla_shape, 10, 7895),
+        ],
+    )
+    def test_state_counts(self, shape, n, states):
+        # the moves and the symbol choice fix how many states a slice visits
+        f, Q = unit_tree(shape(n), n)
+        verts = vertex_ids(f)
+        ctx = ProjectionContext(gram(f, Q))
+        frac = GermFraction(numerator_slice(verts, n), frozenset(verts))
+        ev0_piplus_direct(frac, ctx)
+        assert len(ctx._monomial_memo) == states
 
     def test_corolla_10_within_budget_and_scale_free(self):
         f, Q = unit_tree(helpers.corolla_shape(10), 10)
