@@ -74,7 +74,6 @@ _EXPORTS = {
     "series": ("PiPoly", "TruncSeries", "h_series"),
     "oracle": (
         "NumericAssignment",
-        "QuadConfig",
         "admissible_assignment",
         "closed_form_value",
         "quad_single",

@@ -212,14 +212,8 @@ def _cmd_quad_check(args, out) -> None:
     # Only quadrature needs the oracle and, through it, numpy.
     import random
 
-    from .oracle import (
-        QuadConfig,
-        admissible_assignment,
-        closed_form_value,
-        quad_tree,
-    )
+    from .oracle import admissible_assignment, closed_form_value, quad_tree
 
-    cfg = QuadConfig()
     worst = 0.0
 
     def handle(forest, Q, prefix):
@@ -229,7 +223,7 @@ def _cmd_quad_check(args, out) -> None:
         for _ in range(5):
             assign = admissible_assignment(forest, rng)
             for x in (0.5, 1.0, 2.0):
-                got = quad_tree(forest, assign, x, cfg)
+                got = quad_tree(forest, assign, x)
                 want = closed_form_value(forest, assign, x)
                 err = abs(got - want) / abs(want)
                 file_worst = max(file_worst, err)

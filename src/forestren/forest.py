@@ -18,7 +18,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator, Mapping, Optional, Sequence, Union
+from typing import Callable, Iterator, Mapping, Optional, Sequence, Union
 
 from .errors import (
     LocalityViolation,
@@ -290,13 +290,31 @@ def gram_from_inner(forest: DecoratedForest, Q: InnerProduct) -> GramMatrix:
 # --------------------------------------------------------------------------
 
 
-def _tree_canonical(node: DecoratedTree, Q: InnerProduct) -> str:
+def _encode(
+    forest: DecoratedForest,
+    Q: InnerProduct,
+    label: Optional[Callable[[DecoratedTree], str]] = None,
+) -> tuple[list[str], list[str]]:
+    """The trees' canonical keys, sorted, and with ``label`` their texts.
+
+    One walk in reversed preorder, children before parents.  A vertex's key
+    is its weight and its children's keys in sorted order; its text is
+    ``label(vertex)`` and its children's texts in the order of their keys.
+    The texts are empty without ``label``.
+    """
     keys: dict[int, str] = {}  # by object id: vertex ids need not be unique
-    for v in reversed(list(iter_vertices(DecoratedForest((node,))))):
+    texts: dict[int, str] = {}
+    for v in reversed(list(iter_vertices(forest))):
+        kids = sorted(v.children, key=lambda c: keys[id(c)])
         w = inner(Q, v.decoration, v.decoration)
-        kids = sorted(keys[id(c)] for c in v.children)
-        keys[id(v)] = f"({w}|{','.join(kids)})"
-    return keys[id(node)]
+        keys[id(v)] = f"({w}|{','.join(keys[id(c)] for c in kids)})"
+        if label is not None:
+            body = " ".join(texts[id(c)] for c in kids)
+            texts[id(v)] = f"({label(v)} {body})" if body else f"({label(v)})"
+    trees = sorted(forest.trees, key=lambda t: keys[id(t)])
+    return [keys[id(t)] for t in trees], [
+        texts[id(t)] for t in trees if label is not None
+    ]
 
 
 def canonical(forest: DecoratedForest, Q: InnerProduct) -> bytes:
@@ -308,8 +326,7 @@ def canonical(forest: DecoratedForest, Q: InnerProduct) -> bytes:
     decorated forests encode equally exactly when they carry the same
     Gram data, which is what every downstream value depends on.
     """
-    keys = sorted(_tree_canonical(t, Q) for t in forest.trees)
-    return ";".join(keys).encode("utf-8")
+    return ";".join(_encode(forest, Q)[0]).encode("utf-8")
 
 
 # --------------------------------------------------------------------------
@@ -469,10 +486,6 @@ def parse_forest(text: str) -> tuple[DecoratedForest, InnerProduct]:
     return forest, Q
 
 
-def _weight_of(node: DecoratedTree, Q: InnerProduct) -> Fraction:
-    return inner(Q, node.decoration, node.decoration)
-
-
 def _is_canonical_mode(forest: DecoratedForest, Q: InnerProduct) -> bool:
     if not Q.is_diagonal():
         return False
@@ -486,42 +499,30 @@ def _is_canonical_mode(forest: DecoratedForest, Q: InnerProduct) -> bool:
 
 
 def serialize(forest: DecoratedForest, Q: InnerProduct) -> str:
-    """Render a forest in the grammar, trees and siblings in canonical order."""
+    """Render a forest in the grammar, trees and siblings in canonical order.
+
+    Canonical mode labels each vertex with its weight.  Otherwise the text
+    starts with the dense Q matrix over its active set and labels each
+    vertex with its decoration's coordinate vector in that index order.
+    """
     if _is_canonical_mode(forest, Q):
+        header = ""
 
-        def render(node: DecoratedTree) -> str:
-            kids = sorted(node.children, key=lambda c: _tree_canonical(c, Q))
-            inner_txt = " ".join(render(c) for c in kids)
-            w = _weight_of(node, Q)
-            return f"({w} {inner_txt})" if inner_txt else f"({w})"
+        def label(node: DecoratedTree) -> str:
+            return str(inner(Q, node.decoration, node.decoration))
 
-        if forest.is_empty():
-            return "1"
-        tops = sorted(forest.trees, key=lambda t: _tree_canonical(t, Q))
-        return " ".join(render(t) for t in tops)
-
-    # Explicit mode: emit the dense Q matrix over its active set, then the
-    # decorations as coordinate vectors in that index order.
-    idx = list(Q.indices)
-    rows = ";".join(
-        ",".join(str(Q.entry(i, j)) for j in idx) for i in idx
-    )
-
-    def render_explicit(node: DecoratedTree) -> str:
-        vec = "[" + ",".join(str(node.decoration.coeff(i)) for i in idx) + "]"
-        kids = sorted(node.children, key=lambda c: _tree_canonical(c, Q))
-        inner_txt = " ".join(render_explicit(c) for c in kids)
-        return f"({vec} {inner_txt})" if inner_txt else f"({vec})"
-
-    body = (
-        "1"
-        if forest.is_empty()
-        else " ".join(
-            render_explicit(t)
-            for t in sorted(forest.trees, key=lambda t: _tree_canonical(t, Q))
+    else:
+        idx = list(Q.indices)
+        rows = ";".join(
+            ",".join(str(Q.entry(i, j)) for j in idx) for i in idx
         )
-    )
-    return f"Q={rows}\n{body}"
+        header = f"Q={rows}\n"
+
+        def label(node: DecoratedTree) -> str:
+            coeffs = ",".join(str(node.decoration.coeff(i)) for i in idx)
+            return f"[{coeffs}]"
+
+    return header + (" ".join(_encode(forest, Q, label)[1]) or "1")
 
 
 # --------------------------------------------------------------------------

@@ -33,7 +33,7 @@ from .forest import (
     subtree_sums,
     vertex_ids,
 )
-from .pairing import InnerProduct, LinearForm
+from .pairing import InnerProduct, LinearForm, basis
 from .projector import GermFraction, ProjectionContext, ev0_piplus
 from .series import PiPoly, TruncSeries, ZERO_PIPOLY, h_series
 
@@ -49,34 +49,18 @@ if TYPE_CHECKING:  # numpy loads on the first quadrature call, not on import
 # would need 65 million at level 5.
 MAX_QUAD_KERNEL = 2 * 10**7
 
-
-@dataclass(frozen=True)
-class QuadConfig:
-    """Quadrature controls.
-
-    Parameters
-    ----------
-    rel_tol, abs_tol : float
-        Convergence targets for the refinement loop; the estimate between
-        two consecutive grids must drop below ``max(abs_tol, rel_tol*|I|)``.
-    max_refinements : int
-        Maximum number of grid-halving steps (subdivisions of the step
-        size) before giving up with ConvergenceFailure.
-    t_cut : float
-        Cutoff of the transformed axis.  With y = exp(sinh t) the integrand
-        decays like exp(-c*sinh(t_cut)) with c at least the distance of the
-        exponents from {0, 1}, so the discarded tail is far below float64
-        resolution for every admissible input.
-    """
-
-    rel_tol: float = 1e-9
-    abs_tol: float = 1e-12
-    max_refinements: int = 8
-    t_cut: float = 9.0
-
-    def __post_init__(self) -> None:
-        if self.rel_tol <= 0 or self.abs_tol <= 0:
-            raise ValueError("tolerances must be positive")
+# Convergence targets of the refinement loop: the estimates of two
+# consecutive grids must differ by at most max(ABS_TOL, REL_TOL * |I|).
+REL_TOL = 1e-9
+ABS_TOL = 1e-12
+# Grid-halving steps (subdivisions of the step size) before giving up with
+# ConvergenceFailure.
+MAX_REFINEMENTS = 8
+# Cutoff of the transformed axis.  With y = exp(sinh t) the integrand decays
+# like exp(-c*sinh(T_CUT)) with c at least the distance of the exponents from
+# {0, 1}, so the discarded tail is far below float64 resolution for every
+# admissible input.
+T_CUT = 9.0
 
 
 @dataclass(frozen=True)
@@ -94,7 +78,7 @@ class NumericAssignment:
         return total
 
 
-def _de_grid(level: int, cfg: QuadConfig):
+def _de_grid(level: int):
     """Nodes of the double-exponential rule at the given refinement level.
 
     Returns
@@ -106,7 +90,7 @@ def _de_grid(level: int, cfg: QuadConfig):
     """
     import numpy as np
     h = 0.5 / 2 ** level
-    m = int(math.ceil(cfg.t_cut / h))
+    m = int(math.ceil(T_CUT / h))
     t = h * np.arange(-m, m + 1)
     log_y = np.sinh(t)
     log_w = math.log(h) + log_y + np.log(np.cosh(t))
@@ -128,8 +112,10 @@ def _logsumexp(a: np.ndarray, axis: Optional[int] = None) -> np.ndarray:
     return out + np.squeeze(m, axis=axis)
 
 
-def quad_single(a: float, x: float, cfg: QuadConfig = QuadConfig()) -> float:
+def quad_single(a: float, x: float) -> float:
     """Quadrature value of the integral of y^(-a)/(y+x) over (0, infinity).
+
+    This is :func:`quad_tree` on the one-vertex forest decorated by a.
 
     Parameters
     ----------
@@ -143,24 +129,11 @@ def quad_single(a: float, x: float, cfg: QuadConfig = QuadConfig()) -> float:
     float
         The integral, matching pi/sin(pi*a) * x^(-a) within tolerance.
     """
-    import numpy as np
     if not 0.0 < a < 1.0:
         raise DomainError(f"exponent {a} outside the convergence strip (0, 1)")
-    if x <= 0:
-        raise DomainError(f"external parameter {x} must be positive")
-    log_x = math.log(x)
-    prev = None
-    for level in range(cfg.max_refinements + 1):
-        log_y, log_w = _de_grid(level, cfg)
-        log_terms = -a * log_y - np.logaddexp(log_y, log_x) + log_w
-        value = float(math.exp(_logsumexp(log_terms)))
-        if prev is not None and abs(value - prev) <= max(
-            cfg.abs_tol, cfg.rel_tol * abs(value)
-        ):
-            return value
-        prev = value
-    raise ConvergenceFailure(
-        f"quadrature did not stabilize after {cfg.max_refinements} refinements"
+    vertex = DecoratedTree(0, basis(0), ())
+    return quad_tree(
+        DecoratedForest((vertex,)), NumericAssignment({0: a}), x
     )
 
 
@@ -290,7 +263,6 @@ def quad_tree(
     forest: DecoratedForest,
     assign: NumericAssignment,
     x: float,
-    cfg: QuadConfig = QuadConfig(),
 ) -> float:
     """Numeric value of the nested branched integral of a decorated forest.
 
@@ -308,14 +280,16 @@ def quad_tree(
     -------
     float
         The nested integral, matching the numeric rendering of the closed
-        form x^(-E) * prod_v pi/sin(pi L_v) within tolerance.
+        form x^(-E) * prod_v pi/sin(pi L_v) within tolerance: the grid step
+        halves until two consecutive estimates differ by at most
+        max(:data:`ABS_TOL`, :data:`REL_TOL` * |I|).
 
     Raises
     ------
     ConvergenceFailure
-        When the refinements run out, or before a level whose non-root
-        vertices would contract more than :data:`MAX_QUAD_KERNEL` kernel
-        entries in all.
+        When :data:`MAX_REFINEMENTS` refinements run out, or before a level
+        whose non-root vertices would contract more than
+        :data:`MAX_QUAD_KERNEL` kernel entries in all.
     """
     if x <= 0:
         raise DomainError(f"external parameter {x} must be positive")
@@ -325,8 +299,8 @@ def quad_tree(
     log_x = math.log(x)
     contractions = forest.degree() - len(forest.trees)
     prev = None
-    for level in range(cfg.max_refinements + 1):
-        log_y, log_w = _de_grid(level, cfg)
+    for level in range(MAX_REFINEMENTS + 1):
+        log_y, log_w = _de_grid(level)
         entries = len(log_y) ** 2 * contractions
         if entries > MAX_QUAD_KERNEL:
             raise ConvergenceFailure(
@@ -340,12 +314,12 @@ def quad_tree(
         except OverflowError:
             raise DomainError("value overflows float64") from None
         if prev is not None and abs(value - prev) <= max(
-            cfg.abs_tol, cfg.rel_tol * abs(value)
+            ABS_TOL, REL_TOL * abs(value)
         ):
             return value
         prev = value
     raise ConvergenceFailure(
-        f"nested quadrature did not stabilize after {cfg.max_refinements}"
+        f"nested quadrature did not stabilize after {MAX_REFINEMENTS}"
         " refinements"
     )
 
@@ -396,7 +370,6 @@ def admissible_assignment(
 def renorm_subset_oracle(
     forest: DecoratedForest,
     Q: InnerProduct,
-    N: Optional[int] = None,
     seed: int = 0,
 ) -> PiPoly:
     """Renormalized value by the literal 2^n subset expansion.
@@ -404,14 +377,14 @@ def renorm_subset_oracle(
     The cosecant product is expanded as the sum over subsets S of vertices
     of (prod_{v in S} 1/z_v) * (prod_{v not in S} h(z_v)); every term is
     projected on its own, with a randomized telescoping order per term, and
-    the results are summed.  Must equal the single-fraction pipeline
-    exactly.
+    the results are summed.  Each numerator is built up to the forest
+    degree, which bounds every pole count, so it holds every Taylor term
+    that can reach the value at zero.  Must equal the single-fraction
+    pipeline exactly.
     """
     deg = degree(forest)
     if deg > 12:
         raise ValueError("subset oracle is limited to forests of degree <= 12")
-    if N is None:
-        N = deg + 2
     variables = vertex_ids(forest)
     gram_matrix = gram(forest, Q)
     total = ZERO_PIPOLY
@@ -420,11 +393,11 @@ def renorm_subset_oracle(
         pole_set = frozenset(
             variables[k] for k in range(n) if mask & (1 << k)
         )
-        numerator = TruncSeries.one(variables, N)
+        numerator = TruncSeries.one(variables, deg)
         for k in range(n):
             if mask & (1 << k):
                 continue
-            numerator = numerator * h_series(variables[k], N, variables)
+            numerator = numerator * h_series(variables[k], deg, variables)
         ctx = ProjectionContext(
             gram_matrix, order_rng=random.Random(seed * 1000003 + mask)
         )

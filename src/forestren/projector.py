@@ -112,7 +112,6 @@ class ProjectionContext:
 
     ``order_rng`` randomizes the telescoping order when set (the projected
     value is provably order-independent; randomized runs exist to test that).
-    Memoization is bypassed in that case so every run really recomputes.
     The fast path reads the :class:`Nesting` of ``gram`` and its
     :class:`_Packing` on first use.  Caches are only ever added to, so
     concurrent readers are safe.
@@ -121,7 +120,6 @@ class ProjectionContext:
     gram: GramMatrix
     order_rng: Optional[random.Random] = None
     _coeff_cache: dict = field(default_factory=dict, repr=False)
-    _series_memo: dict = field(default_factory=dict, repr=False)
     _monomial_memo: dict = field(default_factory=dict, repr=False)
     _region_cache: dict = field(default_factory=dict, repr=False)
     _nesting: Optional[Nesting] = field(default=None, repr=False)
@@ -521,18 +519,10 @@ def _piplus(
     if not poles:
         return num
     out_trunc = num.trunc - len(poles)
-    if num.is_zero():
-        return TruncSeries.zero(num.variables, out_trunc)
-    memo_key = None
-    if ctx.order_rng is None:
-        memo_key = (num.canonical_key(), poles)
-        hit = ctx._series_memo.get(memo_key)
-        if hit is not None:
-            return hit
     total = TruncSeries.zero(num.variables, out_trunc)
+    if num.is_zero():
+        return total
     grouped = _grouped_remainders(num, poles, ctx)
     for v in sorted(grouped):
         total = total + _piplus(grouped[v], poles - {v}, ctx)
-    if memo_key is not None:
-        ctx._series_memo[memo_key] = total
     return total

@@ -13,7 +13,7 @@ evaluates a forest tree by tree and multiplies.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import TYPE_CHECKING, Optional
@@ -85,21 +85,19 @@ class RegularizedIntegral:
 class RenormalizedValue:
     """Exact value in Q[pi^2] together with a high-precision numeric rendering.
 
-    ``numeric`` is evaluated at ``dps`` decimal digits on first access, so a
-    value that is only printed exactly never loads mpmath.  Equality and
-    hashing follow ``exact`` alone.
+    ``numeric`` is evaluated at 30 decimal digits on first access, so a
+    value that is only printed exactly never loads mpmath.
     """
 
     exact: PiPoly
-    dps: int = field(default=30, compare=False)
 
     @staticmethod
-    def from_exact(exact: PiPoly, dps: int = 30) -> "RenormalizedValue":
-        return RenormalizedValue(exact, dps)
+    def from_exact(exact: PiPoly) -> "RenormalizedValue":
+        return RenormalizedValue(exact)
 
     @cached_property
     def numeric(self) -> mpmath.mpf:
-        return self.exact.evalf(self.dps)
+        return self.exact.evalf(30)
 
     def numeric_str(self, digits: int = 17) -> str:
         import mpmath

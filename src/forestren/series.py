@@ -267,13 +267,6 @@ class TruncSeries:
                     used[k] = True
         return frozenset(v for k, v in enumerate(self.variables) if used[k])
 
-    def canonical_key(self) -> tuple:
-        """Hashable content key (used for memoization)."""
-        items = tuple(
-            sorted((ev, c.coeffs) for ev, c in self.terms.items())
-        )
-        return (self.variables, self.trunc, items)
-
     def subst_linear(
         self, assignment: Mapping[VertexId, Mapping[VertexId, Rational]]
     ) -> "TruncSeries":

@@ -72,6 +72,34 @@ class TestRegularize:
         assert out == "exponent: e0 + e1\nfactors: [e0 + e1, e1]\n"
 
 
+# germ at the default truncation, degree + 2, at degrees 3 to 5: the series
+# of the telescoping recursion (odd trees have no constant term)
+GERM_GOLDENS = {
+    "(1 (2) (3))": (
+        "(-3581*pi^4/77760)*z2 + (-1213*pi^4/34560)*z1"
+        " + 13009*pi^4/103680*z0"
+    ),
+    "(1 (2 (3) (4)))": (
+        "2239*pi^4/17010 + 10302449*pi^6/267907500*z3^2"
+        " + 7382759*pi^6/150028200*z2*z3"
+        " + 128003527*pi^6/3150592200*z2^2"
+        " + (-160415161*pi^6/3214890000)*z1*z3"
+        " + (-137614363*pi^6/2700507600)*z1*z2"
+        " + 463030583*pi^6/7233502500*z1^2"
+        " + (-77652299*pi^6/1500282000)*z0*z3"
+        " + (-548383873*pi^6/10501974000)*z0*z2"
+        " + (-880981*pi^6/375070500)*z0*z1"
+        " + 423607861*pi^6/6563733750*z0^2"
+    ),
+    "(1 (2)) (3) (4 (5))": "35*pi^6/2916*z2",
+    "(2 (1 (1 (1 (1)))))": (
+        "(-746897*pi^6/27216000)*z4 + 60787*pi^6/14515200*z3"
+        " + 107779*pi^6/4665600*z2 + 814633*pi^6/21772800*z1"
+        " + 35497303*pi^6/653184000*z0"
+    ),
+}
+
+
 class TestGerm:
     def test_truncated_projection_golden(self, workdir):
         f = put(workdir, "l2.forest", "(1 (1))")
@@ -81,6 +109,11 @@ class TestGerm:
             "pi^2/4 + 7*pi^4/144*z1^2 + (-13*pi^4/288)*z0*z1"
             " + 35*pi^4/576*z0^2\n"
         )
+
+    @pytest.mark.parametrize("text", sorted(GERM_GOLDENS))
+    def test_goldens_of_degree_3_to_5(self, workdir, text):
+        f = put(workdir, "g.forest", text)
+        assert invoke(["germ", f]) == (0, GERM_GOLDENS[text] + "\n", "")
 
     def test_constant_term_matches_renorm(self, workdir):
         f = put(workdir, "l2.forest", "(1 (1))")

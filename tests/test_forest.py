@@ -151,6 +151,15 @@ class TestSerialize:
             assert serialize(f2, Q2) == text
             assert canonical(f, Q) == canonical(f2, Q2)
 
+    def test_deep_ladder_roundtrip(self):
+        # rendering walks iteratively; the parser recurses, to about 990 deep
+        text = "(" + " (".join(str(k % 7 + 1) for k in range(900)) + ")" * 900
+        f, Q = parse_forest(text)
+        out = serialize(f, Q)
+        assert out == text
+        f2, Q2 = parse_forest(out)
+        assert canonical(f2, Q2) == canonical(f, Q)
+
 
 class TestCanonical:
     def test_invariant_under_vertex_relabeling(self):

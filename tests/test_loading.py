@@ -39,7 +39,7 @@ EXPORTED = {
     ],
     "series": ["PiPoly", "TruncSeries", "h_series"],
     "oracle": [
-        "NumericAssignment", "QuadConfig", "admissible_assignment",
+        "NumericAssignment", "admissible_assignment",
         "closed_form_value", "quad_single", "quad_tree",
         "renorm_subset_oracle",
     ],

@@ -19,7 +19,6 @@ from forestren import (
     InnerProduct,
     NumericAssignment,
     PiPoly,
-    QuadConfig,
     admissible_assignment,
     basis,
     closed_form_value,
@@ -60,9 +59,10 @@ class TestQuadSingle:
         with pytest.raises(DomainError):
             quad_single(0.5, 0.0)
 
-    def test_unreachable_tolerance(self):
+    def test_unreachable_tolerance(self, monkeypatch):
+        monkeypatch.setattr(oracle, "MAX_REFINEMENTS", 0)
         with pytest.raises(ConvergenceFailure):
-            quad_single(0.5, 1.0, QuadConfig(max_refinements=0))
+            quad_single(0.5, 1.0)
 
 
 class TestQuadTree:
@@ -126,7 +126,7 @@ class TestLevelKernel:
     def test_contraction_matches_dense_log_space(self, level):
         import numpy as np
 
-        log_y, log_w = oracle._de_grid(level, QuadConfig())
+        log_y, log_w = oracle._de_grid(level)
         kernel = oracle._LevelKernel(log_y)
         rng = np.random.default_rng(level)
         m = len(log_y)
@@ -215,14 +215,6 @@ class TestNumericAssignment:
     def test_missing_index(self):
         with pytest.raises(IndexOutOfRange):
             NumericAssignment({0: 0.5}).value_of(basis(3))
-
-
-class TestQuadConfig:
-    def test_tolerances_must_be_positive(self):
-        with pytest.raises(ValueError):
-            QuadConfig(rel_tol=0.0)
-        with pytest.raises(ValueError):
-            QuadConfig(abs_tol=-1.0)
 
 
 class TestSubsetOracle:

@@ -224,17 +224,6 @@ class TestOrderInvariance:
                 )
                 assert ev0_piplus(frac, shuffled) == base
 
-    def test_randomized_context_skips_memo(self):
-        rng = random.Random(22)
-        ctx, frac = rand_fraction(rng)
-        shuffled = ProjectionContext(ctx.gram, order_rng=random.Random(0))
-        ev0_piplus(frac, shuffled)
-        assert not shuffled._series_memo
-        piplus_expand(frac, shuffled)
-        assert not shuffled._series_memo
-        ev0_piplus(frac, ctx)  # the same fraction does fill a plain memo
-        assert ctx._series_memo
-
 
 class TestGramScaling:
     def test_ev0_invariant_under_positive_scaling(self):

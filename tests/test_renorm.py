@@ -255,14 +255,6 @@ class TestRenormalizedValue:
         assert val.numeric == val.exact.evalf(30)
         assert val.numeric is val.numeric  # evaluated once, then kept
 
-    def test_numeric_follows_requested_precision(self):
-        exact = PiPoly.pi2(2, Fraction(3, 7))
-        val = RenormalizedValue.from_exact(exact, 50)
-        assert val.numeric == exact.evalf(50)
-        assert val.numeric != exact.evalf(30)
-        with mpmath.workdps(50):
-            assert abs(val.numeric - 3 * mpmath.pi**4 / 7) < mpmath.mpf("1e-45")
-
     @pytest.mark.parametrize(
         "exact, rendered",
         [
@@ -282,7 +274,7 @@ class TestRenormalizedValue:
     def test_equality_and_hash_follow_exact(self):
         exact = PiPoly.pi2(1, Fraction(1, 4))
         a = RenormalizedValue.from_exact(exact)
-        b = RenormalizedValue.from_exact(PiPoly.pi2(1, Fraction(1, 4)), 50)
+        b = RenormalizedValue.from_exact(PiPoly.pi2(1, Fraction(1, 4)))
         # an evaluated value still equals an unevaluated one
         assert a.numeric == exact.evalf(30)
         assert a == b
