@@ -18,7 +18,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterator, Mapping, Optional, Sequence, Union
+from typing import Callable, Iterator, Optional, Sequence, Union
 
 from .errors import (
     LocalityViolation,
@@ -226,34 +226,7 @@ def gram(forest: DecoratedForest, Q: InnerProduct) -> GramMatrix:
         raise NotProperlyDecorated(
             "gram matrix requires pairwise orthogonal nonzero decorations"
         )
-    return overlap_gram(forest, vertex_weights(forest, Q))
-
-
-def vertex_weights(
-    forest: DecoratedForest, Q: InnerProduct
-) -> dict[VertexId, Fraction]:
-    """The self-pairings q_v = Q(d(v), d(v)); raises NonPositiveWeight."""
-    weights: dict[VertexId, Fraction] = {}
-    for node in iter_vertices(forest):
-        q = inner(Q, node.decoration, node.decoration)
-        if q <= 0:
-            raise NonPositiveWeight(
-                f"vertex {node.root_id} has non-positive weight {q}"
-            )
-        weights[node.root_id] = q
-    return weights
-
-
-def overlap_gram(
-    forest: DecoratedForest, weights: Mapping[VertexId, Fraction]
-) -> GramMatrix:
-    """The overlap formula of :func:`gram`, without its validation.
-
-    The caller guarantees that ``forest`` is properly decorated and that
-    ``weights`` holds the self-pairing of each of its vertices (extra
-    entries are ignored), so the validation of a whole forest can serve
-    the Gram matrix of each of its trees.
-    """
+    weights = vertex_weights(forest, Q)
     sets: dict[VertexId, frozenset[VertexId]] = {}  # maximal subtree of each vertex
     for node in reversed(list(iter_vertices(forest))):
         acc = frozenset((node.root_id,))
@@ -269,6 +242,21 @@ def overlap_gram(
         for v in vertices
     )
     return GramMatrix(vertices, rows)
+
+
+def vertex_weights(
+    forest: DecoratedForest, Q: InnerProduct
+) -> dict[VertexId, Fraction]:
+    """The self-pairings q_v = Q(d(v), d(v)); raises NonPositiveWeight."""
+    weights: dict[VertexId, Fraction] = {}
+    for node in iter_vertices(forest):
+        q = inner(Q, node.decoration, node.decoration)
+        if q <= 0:
+            raise NonPositiveWeight(
+                f"vertex {node.root_id} has non-positive weight {q}"
+            )
+        weights[node.root_id] = q
+    return weights
 
 
 def gram_from_inner(forest: DecoratedForest, Q: InnerProduct) -> GramMatrix:

@@ -19,9 +19,9 @@ The fast path :func:`ev0_piplus_direct` computes only the value at zero,
 monomial by monomial, in region coordinates: for a pole p, y_p sums the
 decorations of p's subtree that lie in no deeper pole's subtree.  Subtree
 sums are laminar, so the y_p are orthogonal and the projection onto the
-pole span is diagonal in them; its only input is the forest order and the
-weights that :class:`Nesting` reads off the Gram matrix, and it solves no
-linear system.
+pole span is diagonal in them.  Its only input is a :class:`Nesting`, which
+:func:`ev0_tree` takes from the caller and :func:`ev0_piplus_direct` reads
+off the Gram matrix, and it solves no linear system.
 """
 
 from __future__ import annotations
@@ -30,11 +30,17 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 from operator import getitem
-from typing import TYPE_CHECKING, NamedTuple, Optional
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Optional
 
 from .errors import NotProperlyDecorated, SingularGram, VariableMismatch
 from .pairing import GramMatrix
-from .series import PiPoly, TruncSeries, VertexId, ZERO_PIPOLY
+from .series import (
+    PiPoly,
+    TruncSeries,
+    VertexId,
+    ZERO_PIPOLY,
+    sinc_inverse_coeffs,
+)
 
 if TYPE_CHECKING:  # callers that randomize the order bring their own
     import random
@@ -56,12 +62,12 @@ class GermFraction:
 
 
 class Nesting(NamedTuple):
-    """The forest order that a nesting Gram matrix of subtree sums encodes.
+    """The forest order of the subtree sums L_v and their weights.
 
-    Positions list the vertices by decreasing weight W_v = Q(L_v, L_v), so
-    an ancestor always precedes its descendants.  ``anc[i]`` and ``desc[i]``
-    are bit masks over positions of the strict ancestors and descendants of
-    position i.
+    Positions list the vertices by decreasing weight W_v = Q(L_v, L_v),
+    ties by vertex id, so an ancestor always precedes its descendants.
+    ``anc[i]`` and ``desc[i]`` are bit masks over positions of the strict
+    ancestors and descendants of position i.
     """
 
     pos: dict[VertexId, int]
@@ -112,82 +118,21 @@ class ProjectionContext:
 
     ``order_rng`` randomizes the telescoping order when set (the projected
     value is provably order-independent; randomized runs exist to test that).
-    The fast path reads the :class:`Nesting` of ``gram`` and its
-    :class:`_Packing` on first use.  Caches are only ever added to, so
-    concurrent readers are safe.
+    ``_monomial_memo`` keeps the states that :func:`ev0_piplus_direct`
+    visits over the :class:`Nesting` of ``gram``.  Caches are only ever
+    added to, so concurrent readers are safe.
     """
 
     gram: GramMatrix
     order_rng: Optional[random.Random] = None
     _coeff_cache: dict = field(default_factory=dict, repr=False)
     _monomial_memo: dict = field(default_factory=dict, repr=False)
-    _region_cache: dict = field(default_factory=dict, repr=False)
-    _nesting: Optional[Nesting] = field(default=None, repr=False)
-    _packing: Optional[_Packing] = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         if not self.gram.is_positive_definite():
             raise SingularGram(
                 "projection requires a positive-definite Gram matrix"
             )
-
-    def nesting(self) -> Nesting:
-        """The forest order of the Gram matrix, read on first use."""
-        if self._nesting is None:
-            self._nesting = Nesting.of(self.gram)
-        return self._nesting
-
-    def packing(self) -> _Packing:
-        """The bit layout of the fast path's states, built on first use."""
-        if self._packing is None:
-            self._packing = _Packing.of(len(self.nesting().pos))
-        return self._packing
-
-    def region(
-        self, poles: int, i: int
-    ) -> tuple[int, int, tuple[int, ...], int, int, int]:
-        """Where position i sits among the poles of the bit mask ``poles``.
-
-        Returns ``(z_terms, y_terms, tops, share_num, share_den, up)``:
-        the maximal poles ``tops`` strictly below i, the weight W_i minus
-        theirs as a reduced pair of ints, and the nearest pole ``up``
-        strictly above i (-1 if none), all in :meth:`nesting` positions;
-        ``z_terms`` and ``y_terms`` count the terms that moves 2 and 3 of
-        :func:`ev0_piplus_direct` make on i.  For a pole the weight is its
-        region weight R(i); for a non-pole it is the squared norm of the
-        part of L_i that lies in no pole's subtree.  Entries are cached
-        under the one int ``i << n | poles``, n the vertex count.
-        """
-        nest = self.nesting()
-        key = i << len(nest.pos) | poles
-        hit = self._region_cache.get(key)
-        if hit is None:
-            w = nest.weight[i]
-            num, den = w.numerator, w.denominator
-            tops = []
-            rest = nest.desc[i] & poles
-            while rest:
-                c = (rest & -rest).bit_length() - 1
-                rest &= ~(nest.desc[c] | 1 << c)  # c is a top: skip below
-                tops.append(c)
-                w = nest.weight[c]
-                if w.denominator == den:
-                    num -= w.numerator
-                else:
-                    num, den = num * w.denominator - w.numerator * den, (
-                        den * w.denominator
-                    )
-            g = gcd(num, den)
-            up = (nest.anc[i] & poles).bit_length() - 1
-            hit = self._region_cache[key] = (
-                len(tops) + (up >= 0),
-                len(tops) + 1,
-                tuple(tops),
-                num // g,
-                den // g,
-                up,
-            )
-        return hit
 
 
 def project_coeffs(
@@ -312,35 +257,76 @@ def ev0_piplus_direct(frac: GermFraction, ctx: ProjectionContext) -> PiPoly:
     terms = [(exps, c) for exps, c in num.terms.items() if sum(exps) == n]
     if not terms:
         return ZERO_PIPOLY
-    nest = ctx.nesting()
-    unit = ctx.packing().unit
+    pk = _Packing.of(Nesting.of(ctx.gram), ctx._monomial_memo)
+    pos, unit = pk.nest.pos, pk.unit
     # what exponent e of each variable adds to a state; a pole variable
     # first loses one power to move 1, a plain division while no region
     # symbol occurs
     add = []
     for v in num.variables:
-        p = nest.pos[v]
+        p = pos[v]
         z = unit[2 * p]
         if v in frac.poles:
             add.append([0] + [(e - 1) * z - (1 << p) for e in range(1, n + 1)])
         else:
             add.append([e * z for e in range(n + 1)])
-    all_poles = sum(1 << nest.pos[p] for p in frac.poles)
-    # the coefficients of Pi^k, as numerator sums by denominator
-    sums: list[dict[int, int]] = []
-    for exps, coeff in terms:
-        state = sum(map(getitem, add, exps), all_poles)
-        wn, wd = _region_value(ctx, state)
+    all_poles = sum(1 << pos[p] for p in frac.poles)
+    return PiPoly.from_coeffs(_ev0_sum(pk, (
+        (sum(map(getitem, add, exps), all_poles), coeff.coeffs)
+        for exps, coeff in terms
+    )))
+
+
+def ev0_tree(nest: Nesting) -> PiPoly:
+    """The value at zero of the projected prod_v (1 + z_v h(z_v)) / z_v
+    over the positions of ``nest``: one tree's whole expansion.
+
+    Only numerator terms of degree n, the vertex count, reach it, and z h(z)
+    is even, so they are Pi^(n/2) prod_v u_(m_v) z_v^(2 m_v) over the
+    m_v >= 0 summing to n/2 (none for odd n), u = :func:`sinc_inverse_coeffs`.
+    A depth-first walk over these compositions hands each term to the engine
+    as a state, where move 1 has divided one power out of each z_v^(2 m_v).
+    """
+    n = len(nest.weight)
+    if n % 2:
+        return ZERO_PIPOLY
+    half = n // 2
+    u = sinc_inverse_coeffs(half + 1)
+    pk = _Packing.of(nest, {})
+
+    def terms() -> Iterator[tuple[int, tuple[Fraction]]]:
+        stack = [(0, pk.poles, half, Fraction(1))]  # position, state, left, c
+        while stack:
+            p, state, left, c = stack.pop()
+            if not left:  # the other positions take m = 0
+                yield state, (c,)
+                continue
+            z, bit = pk.unit[2 * p], 1 << p
+            if p < n - 1:
+                stack.append((p + 1, state, left, c))
+            for m in range(1 if p < n - 1 else left, left + 1):
+                stack.append(
+                    (p + 1, state + (2 * m - 1) * z - bit, left - m, c * u[m])
+                )
+
+    return PiPoly.from_coeffs([0] * half + _ev0_sum(pk, terms()))
+
+
+def _ev0_sum(
+    pk: _Packing, terms: Iterable[tuple[int, tuple[Fraction, ...]]]
+) -> list[Fraction]:
+    """Per power of Pi, the sum of coefficient * state value over the terms."""
+    sums: list[dict[int, int]] = []  # numerator sums by denominator
+    for state, coeffs in terms:
+        wn, wd = _region_value(pk, state)
         if wn:
-            sums += [{} for _ in range(len(coeff.coeffs) - len(sums))]
-            for acc, c in zip(sums, coeff.coeffs):
+            sums += [{} for _ in range(len(coeffs) - len(sums))]
+            for acc, c in zip(sums, coeffs):
                 if c:
                     d = c.denominator * wd
                     acc[d] = acc.get(d, 0) + c.numerator * wn
-    return PiPoly.from_coeffs(
-        [sum((Fraction(v, d) for d, v in acc.items()), Fraction(0))
-         for acc in sums]
-    )
+    return [sum((Fraction(v, d) for d, v in acc.items()), Fraction(0))
+            for acc in sums]
 
 
 def _require_vertices(frac: GermFraction, ctx: ProjectionContext) -> None:
@@ -373,14 +359,15 @@ _ONE = (1, 1)
 
 
 class _Packing(NamedTuple):
-    """The bit layout of states over n positions (see above).
+    """One nesting, the bit layout of its states, and the projection caches.
 
     ``unit[s]`` is 1 in the lowest bit of symbol s's field, ``shift[s]``
     that bit's index, ``below[s]`` = unit[s] - 1 masks the pole bits and
     the fields of smaller symbols, and ``rkey[s]`` is the position part
-    (s >> 1) << n of a :meth:`ProjectionContext.region` key.
+    (s >> 1) << n of a :meth:`region` key.
     """
 
+    nest: Nesting
     width: int
     field: int  # mask of one field
     poles: int  # mask of the pole bits
@@ -388,13 +375,17 @@ class _Packing(NamedTuple):
     shift: tuple[int, ...]
     below: tuple[int, ...]
     rkey: tuple[int, ...]
+    memo: dict[int, tuple[int, int]]  # state -> value
+    regions: dict[int, tuple]  # region key -> region entry
 
     @staticmethod
-    def of(n: int) -> "_Packing":
+    def of(nest: Nesting, memo: dict[int, tuple[int, int]]) -> "_Packing":
+        n = len(nest.weight)
         width = n.bit_length()
         shift = tuple(n + s * width for s in range(2 * n))
         unit = tuple(1 << t for t in shift)
         return _Packing(
+            nest,
             width,
             (1 << width) - 1,
             (1 << n) - 1,
@@ -402,10 +393,58 @@ class _Packing(NamedTuple):
             shift,
             tuple(u - 1 for u in unit),
             tuple((s >> 1) << n for s in range(2 * n)),
+            memo,
+            {},
         )
 
+    def region(
+        self, poles: int, i: int
+    ) -> tuple[int, int, tuple[int, ...], int, int, int]:
+        """Where position i sits among the poles of the bit mask ``poles``.
 
-def _region_value(ctx: ProjectionContext, state: int) -> tuple[int, int]:
+        Returns ``(z_terms, y_terms, tops, share_num, share_den, up)``:
+        the maximal poles ``tops`` strictly below i, the weight W_i minus
+        theirs as a reduced pair of ints, and the nearest pole ``up``
+        strictly above i (-1 if none), all in nesting positions;
+        ``z_terms`` and ``y_terms`` count the terms that moves 2 and 3 of
+        :func:`ev0_piplus_direct` make on i.  For a pole the weight is its
+        region weight R(i); for a non-pole it is the squared norm of the
+        part of L_i that lies in no pole's subtree.  Entries are cached
+        under the one int ``i << n | poles``, n the vertex count.
+        """
+        nest = self.nest
+        key = i << len(nest.weight) | poles
+        hit = self.regions.get(key)
+        if hit is None:
+            w = nest.weight[i]
+            num, den = w.numerator, w.denominator
+            tops = []
+            rest = nest.desc[i] & poles
+            while rest:
+                c = (rest & -rest).bit_length() - 1
+                rest &= ~(nest.desc[c] | 1 << c)  # c is a top: skip below
+                tops.append(c)
+                w = nest.weight[c]
+                if w.denominator == den:
+                    num -= w.numerator
+                else:
+                    num, den = num * w.denominator - w.numerator * den, (
+                        den * w.denominator
+                    )
+            g = gcd(num, den)
+            up = (nest.anc[i] & poles).bit_length() - 1
+            hit = self.regions[key] = (
+                len(tops) + (up >= 0),
+                len(tops) + 1,
+                tuple(tops),
+                num // g,
+                den // g,
+                up,
+            )
+        return hit
+
+
+def _region_value(pk: _Packing, state: int) -> tuple[int, int]:
     """Value at zero of the projection of a state's monomial / prod of the
     pole z's, as a reduced (numerator, denominator) pair.
 
@@ -416,12 +455,11 @@ def _region_value(ctx: ProjectionContext, state: int) -> tuple[int, int]:
     """
     if not state:
         return _ONE
-    memo = ctx._monomial_memo
+    memo = pk.memo
     hit = memo.get(state)
     if hit is not None:
         return hit
-    pk = ctx._packing
-    regions = ctx._region_cache
+    regions = pk.regions
     poles = state & pk.poles
     # scan the occurring symbols from the last down; a later one wins ties
     best = entry = None
@@ -433,7 +471,7 @@ def _region_value(ctx: ProjectionContext, state: int) -> tuple[int, int]:
         rest &= below[s]
         e = regions.get(rkey[s] | poles)
         if e is None:
-            e = ctx.region(poles, s >> 1)
+            e = pk.region(poles, s >> 1)
         terms = e[s & 1]
         if terms < fewest:
             best, entry, fewest = s, e, terms
@@ -442,18 +480,18 @@ def _region_value(ctx: ProjectionContext, state: int) -> tuple[int, int]:
     rest = state - pk.unit[best]
     if best & 1:
         # move 3: y_i / R(i) = (z_i - sum of z_c over i's child poles) / R(i)
-        parts = [_drop_pole(ctx, rest, i, a)]
+        parts = [_drop_pole(pk, rest, i, a)]
         for c in tops:
-            vn, vd = _drop_pole(ctx, rest, c, i)
+            vn, vd = _drop_pole(pk, rest, c, i)
             parts.append((-vn, vd))
         num, den = _pair_sum(parts)
         num *= share_den
         den *= share_num
     else:
         # move 2: z_i -> sum of z_c + (W_i - sum of W_c) * y_a / R(a)
-        parts = [_drop_pole(ctx, rest, c, a) for c in tops]
+        parts = [_drop_pole(pk, rest, c, a) for c in tops]
         if a >= 0:
-            vn, vd = _region_value(ctx, rest + pk.unit[2 * a + 1])
+            vn, vd = _region_value(pk, rest + pk.unit[2 * a + 1])
             parts.append((vn * share_num, vd * share_den))
         num, den = _pair_sum(parts)
     if num:
@@ -465,9 +503,7 @@ def _region_value(ctx: ProjectionContext, state: int) -> tuple[int, int]:
     return val
 
 
-def _drop_pole(
-    ctx: ProjectionContext, state: int, p: int, a: int
-) -> tuple[int, int]:
+def _drop_pole(pk: _Packing, state: int, p: int, a: int) -> tuple[int, int]:
     """Move 1 on z_p * the state's monomial: divide z_p out and drop pole p.
 
     Region p merges into the region of p's nearest pole ancestor a, onto
@@ -475,14 +511,13 @@ def _drop_pole(
     ancestor (a = -1), region p leaves the pole span and its coordinate
     projects to 0.
     """
-    pk = ctx._packing
     yp = 2 * p + 1
     e = state >> pk.shift[yp] & pk.field
     if e:
         if a < 0:
             return _ZERO
         state += e * (pk.unit[2 * a + 1] - pk.unit[yp])
-    return _region_value(ctx, state - (1 << p))
+    return _region_value(pk, state - (1 << p))
 
 
 def _pair_sum(parts: list[tuple[int, int]]) -> tuple[int, int]:

@@ -21,39 +21,30 @@ from typing import TYPE_CHECKING, Optional
 from .errors import NotProperlyDecorated, NumeratorTooLarge, TruncationBelowDegree
 from .forest import (
     DecoratedForest,
+    DecoratedTree,
     VertexId,
     canonical,
     check_properly_decorated,
     decorations,
     degree,
     forest_of,
-    overlap_gram,
+    gram,
+    iter_vertices,
     subtree_sums,
     vertex_ids,
     vertex_weights,
 )
 from .pairing import InnerProduct, LinearForm, inner
-from .projector import (
-    GermFraction,
-    ProjectionContext,
-    ev0_piplus_direct,
-)
-from .series import (
-    ONE_PIPOLY,
-    ZERO_PIPOLY,
-    PiPoly,
-    TruncSeries,
-    h_series,
-    numerator_slice,
-)
+from .projector import GermFraction, Nesting, ProjectionContext, ev0_tree
+from .series import ONE_PIPOLY, ZERO_PIPOLY, PiPoly, TruncSeries, h_series
 
 if TYPE_CHECKING:  # mpmath loads on the first numeric rendering
     import mpmath
 
 # C(n/2 + n - 1, n - 1) terms at degree n: 77,520 at 14, 490,314 at 16.
 # Projection keeps about 5 region states per term, about 250 bytes each
-# (0.4 KB of peak RSS), so a 16-tree would need about 1 GB; a 14-ladder
-# peaks near 170 MB.
+# (0.3 KB of peak RSS), so a 16-tree would need about 1 GB; a 14-ladder
+# peaks near 120 MB.
 MAX_SLICE_TERMS = 10**5
 # germ projects the dense numerator of expand_r1; on a 2-core Xeon, degree 5
 # takes up to 3 s at truncation 7 but 15 s at 8, and a 6-corolla minutes
@@ -153,7 +144,7 @@ def expand_r1(
     prod_v (1 + z_v h(z_v)) / prod_v z_v, a fraction with one simple pole per
     vertex.  The context carries the Gram matrix of the subtree sums.
     """
-    _require_properly_decorated(forest, Q)
+    ctx = ProjectionContext(gram(forest, Q))
     N = _require_trunc(forest, N)
     variables = vertex_ids(forest)
     numerator = TruncSeries.one(variables, N)
@@ -162,7 +153,6 @@ def expand_r1(
             v, N, variables
         ).mul_by_var(v).truncated(N)
         numerator = numerator * factor
-    ctx = ProjectionContext(overlap_gram(forest, vertex_weights(forest, Q)))
     return GermFraction(numerator, frozenset(variables)), ctx
 
 
@@ -176,13 +166,13 @@ def renormalize(
     the product of the trees' values, and the empty forest gives 1.  A tree
     of degree n gives a rational multiple of pi^n, and 0 when n is odd: its
     numerator prod_v (1 + z_v h(z_v)) has only even-degree terms, and only
-    those of degree exactly n reach the value, so just that slice is built
-    and projected with :func:`ev0_piplus_direct`.  Unless some tree is odd,
-    a slice of more than :data:`MAX_SLICE_TERMS` terms (a tree of degree 16
-    or more) raises :class:`NumeratorTooLarge` before any projection.  ``N``
-    must be at least the forest degree but does not change the value.  The
-    unfactored evaluation of :func:`expand_r1` on the whole forest is the
-    reference the tests check this against.
+    those of degree exactly n reach the value, so :func:`ev0_tree` projects
+    just those, given the :class:`Nesting` read off the tree.  Unless some
+    tree is odd, a slice of more than :data:`MAX_SLICE_TERMS` terms (a tree
+    of degree 16 or more) raises :class:`NumeratorTooLarge` before any
+    projection.  ``N`` must be at least the forest degree but does not
+    change the value.  The unfactored evaluation of :func:`expand_r1` on the
+    whole forest is the reference the tests check this against.
     """
     _require_properly_decorated(forest, Q)
     _require_trunc(forest, N)
@@ -198,19 +188,25 @@ def renormalize(
             )
     value = ONE_PIPOLY
     for t in forest.trees:
-        value = value * _tree_value(forest_of(t), weights)
+        value = value * ev0_tree(_tree_nesting(t, weights))
     return RenormalizedValue.from_exact(value)
 
 
-def _tree_value(
-    tree: DecoratedForest, weights: dict[VertexId, Fraction]
-) -> PiPoly:
-    """Value of an even one-tree forest already validated by the caller."""
-    n = degree(tree)
-    variables = vertex_ids(tree)
-    frac = GermFraction(numerator_slice(variables, n), frozenset(variables))
-    ctx = ProjectionContext(overlap_gram(tree, weights))
-    return ev0_piplus_direct(frac, ctx)
+def _tree_nesting(
+    tree: DecoratedTree, weights: dict[VertexId, Fraction]
+) -> Nesting:
+    """The :class:`Nesting` of one tree, ordered as :meth:`Nesting.of` does."""
+    below: dict[VertexId, frozenset[VertexId]] = {}  # strict descendants
+    for node in reversed(list(iter_vertices(forest_of(tree)))):
+        below[node.root_id] = frozenset().union(
+            *(below[c.root_id] | {c.root_id} for c in node.children)
+        )
+    total = {v: weights[v] + sum(weights[u] for u in below[v]) for v in below}
+    order = sorted(total, key=lambda v: (-total[v], v))
+    pos = {v: i for i, v in enumerate(order)}
+    anc = tuple(sum(1 << pos[a] for a in order if v in below[a]) for v in order)
+    desc = tuple(sum(1 << pos[d] for d in below[v]) for v in order)
+    return Nesting(pos, tuple(total[v] for v in order), anc, desc)
 
 
 def is_similar(

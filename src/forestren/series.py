@@ -122,17 +122,25 @@ class PiPoly:
 
 def _render_pi_term(c: Fraction, power: int) -> str:
     """One monomial c * pi^(2*power) in the canonical output syntax."""
-    if power == 0:
-        return str(c)
-    sym = f"pi^{2 * power}"
-    p, q = c.numerator, c.denominator
-    if p == 1:
-        head = sym
-    elif p == -1:
-        head = f"-{sym}"
-    else:
-        head = f"{p}*{sym}"
-    return head if q == 1 else f"{head}/{q}"
+    p, q = _digits(c.numerator), _digits(c.denominator)
+    if power:
+        sym = f"pi^{2 * power}"
+        p = {"1": sym, "-1": f"-{sym}"}.get(p, f"{p}*{sym}")
+    return p if q == "1" else f"{p}/{q}"
+
+
+# str() takes at most sys.get_int_max_str_digits() digits, never below 640
+_PIECE = 10**600
+
+
+def _digits(i: int) -> str:
+    """The decimal digits of an int of any size, converted piece by piece."""
+    sign, i = ("-", -i) if i < 0 else ("", i)
+    pieces = []
+    while i >= _PIECE:
+        i, low = divmod(i, _PIECE)
+        pieces.append(f"{low:0600d}")
+    return sign + str(i) + "".join(reversed(pieces))
 
 
 ZERO_PIPOLY = PiPoly(())
@@ -428,34 +436,6 @@ def sinc_inverse_coeffs(count: int) -> tuple[Fraction, ...]:
     for m in range(1, count):
         u.append(-sum(s[k] * u[m - k] for k in range(1, m + 1)))
     return tuple(u)
-
-
-def numerator_slice(variables: Sequence[VertexId], n: int) -> TruncSeries:
-    """The total-degree-n terms of prod_v (1 + z_v h(z_v)), truncated at n.
-
-    z h(z) = pi z/sin(pi z) - 1 is even, so each factor is
-    sum_m u_m Pi^m z_v^(2m) with u = :func:`sinc_inverse_coeffs`, and the
-    slice is Pi^(n/2) * sum over m_v >= 0 with sum_v m_v = n/2 of
-    prod_v u_(m_v) z_v^(2 m_v).  It is zero for odd n.  The terms are built
-    directly, without expanding the product at any other degree.
-    """
-    variables = tuple(variables)
-    if n % 2:
-        return TruncSeries.zero(variables, n)
-    half = n // 2
-    u = sinc_inverse_coeffs(half + 1)
-    # (exponents over a prefix of the slots, what they leave of n/2,
-    # prod of their u_m); every u_m is nonzero and u_0 = 1
-    partial = [((), half, Fraction(1))]
-    for _ in variables:
-        partial = [
-            (ev + (2 * m,), left - m, c * u[m] if m else c)
-            for ev, left, c in partial
-            for m in range(left + 1)
-        ]
-    pad = (Fraction(0),) * half
-    terms = {ev: PiPoly(pad + (c,)) for ev, left, c in partial if not left}
-    return TruncSeries(variables, n, terms)
 
 
 def h_series(

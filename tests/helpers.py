@@ -1,7 +1,9 @@
 """Shared generators for the test suite: shapes, random forests, pairs."""
 
+import ast
 import random
 from fractions import Fraction
+from pathlib import Path
 
 from forestren import InnerProduct, concat
 from forestren.forest import forest_shapes, from_shape, shape_size
@@ -59,3 +61,15 @@ def independent_pair(rng, max_each, allow_fractions=False):
     f2, Q2 = from_shape(s2, random_weights(rng, n2, allow_fractions), id_start=n1)
     Q = merge_diagonal(Q1, Q2)
     return f1, f2, Q, concat(f1, f2, Q)
+
+
+def imported_modules(module):
+    """The last dotted component of every name a module's source imports."""
+    source = Path(module.__file__).read_text(encoding="utf-8")
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            names.update([node.module or ""] + [a.name for a in node.names])
+        elif isinstance(node, ast.Import):
+            names.update(a.name for a in node.names)
+    return {name.split(".")[-1] for name in names}

@@ -4,11 +4,17 @@ import io
 import subprocess
 import sys
 import time
-from fractions import Fraction
 
 import pytest
 
+from forestren import parse_forest, renormalize
 from forestren.cli import run
+
+# A 10-corolla with weights 1 + 1/p: two copies multiply to a value whose
+# numerator and denominator run past the 4,300 digits str() takes.
+BIG_COROLLA = (
+    "(3/2 (4/3) (6/5) (8/7) (12/11) (14/13) (18/17) (20/19) (24/23) (30/29))"
+)
 
 
 def invoke(argv):
@@ -26,6 +32,24 @@ def workdir(tmp_path, monkeypatch):
 def put(workdir, name, text):
     (workdir / name).write_text(text, encoding="utf-8")
     return name
+
+
+def read_digits(text):
+    """An int from its decimal digits, read in pieces that int() takes."""
+    value = 0
+    for k in range(0, len(text), 1000):
+        piece = text[k : k + 1000]
+        value = value * 10 ** len(piece) + int(piece)
+    return value
+
+
+def is_big_corolla_square(line):
+    """Whether ``line`` renders the value of two BIG_COROLLA copies."""
+    want = renormalize(*parse_forest(BIG_COROLLA)).exact.coeffs[5] ** 2
+    num, _, den = line.partition("*pi^20/")
+    return len(den) > 4300 and (read_digits(num), read_digits(den)) == (
+        want.numerator, want.denominator
+    )
 
 
 class TestRenorm:
@@ -56,6 +80,15 @@ class TestRenorm:
         base = invoke(["renorm", f])
         assert invoke(["renorm", f, "--trunc", "6"]) == base
         assert invoke(["renorm", f, "--trunc", "8"]) == base
+
+    @pytest.mark.parametrize("fmt", ["exact", "both"])
+    def test_value_past_the_digit_limit(self, workdir, fmt):
+        f = put(workdir, "big.forest", f"{BIG_COROLLA} {BIG_COROLLA}")
+        rc, out, err = invoke(["renorm", f, "--format", fmt])
+        assert (rc, err) == (0, "")
+        lines = out.splitlines()
+        assert is_big_corolla_square(lines[0])
+        assert lines[1:] == (["525716230333.69533"] if fmt == "both" else [])
 
     def test_reruns_byte_identical(self, workdir):
         f = put(workdir, "l2.forest", "(2 (1 (3)) (1))")
@@ -151,6 +184,15 @@ class TestCheckSimilar:
             "",
         )
 
+    def test_value_past_the_digit_limit(self, workdir):
+        f = put(workdir, "big.forest", f"{BIG_COROLLA} {BIG_COROLLA}")
+        rc, out, err = invoke(["check-similar", f, f])
+        assert (rc, err) == (0, "")
+        similar, agree = out.splitlines()
+        assert similar == "SIMILAR"
+        assert agree.startswith("values agree: ")
+        assert is_big_corolla_square(agree[len("values agree: "):])
+
     def test_dissimilar_pair(self, workdir):
         a = put(workdir, "a.forest", "(1 (1))")
         b = put(workdir, "b.forest", "(1 (2))")
@@ -202,27 +244,19 @@ class TestQuadCheck:
 
 
 class TestErrorPaths:
-    def test_non_nesting_gram_exit_2(self, workdir, monkeypatch):
-        # no parsed forest yields such a Gram matrix, so substitute one
-        import forestren.renorm
-        from forestren import GramMatrix
-
-        rows = ((Fraction(2), Fraction(1)), (Fraction(1), Fraction(2)))
-        monkeypatch.setattr(
-            forestren.renorm, "overlap_gram",
-            lambda tree, weights: GramMatrix((0, 1), rows),
-        )
-        f = put(workdir, "l2.forest", "(1 (1))")
-        rc, out, err = invoke(["renorm", f])
-        assert (rc, out) == (2, "")
-        assert err.startswith("error: not a Gram matrix of subtree sums")
-        assert err.count("\n") == 1
-
     def test_parse_error_exit_1(self, workdir):
         f = put(workdir, "bad.forest", "(1")
         rc, out, err = invoke(["renorm", f])
         assert (rc, out) == (1, "")
         assert err == "error: unexpected end of input\n"
+
+    def test_weight_past_the_digit_limit_exit_1(self, workdir):
+        # the interpreter's limit on digits still guards parsing
+        f = put(workdir, "huge.forest", "(" + "7" * 5000 + ")")
+        rc, out, err = invoke(["renorm", f])
+        assert (rc, out) == (1, "")
+        assert err.startswith("error: invalid rational '777")
+        assert err.count("\n") == 1
 
     def test_nonpositive_weight_exit_1(self, workdir):
         f = put(workdir, "bad.forest", "(0)")

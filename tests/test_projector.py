@@ -25,10 +25,19 @@ from forestren import (
     project_coeffs,
     renormalize,
 )
+import forestren.forest
+import forestren.renorm
 from forestren import projector
-from forestren.forest import from_shape, vertex_ids
-from forestren.renorm import expand_r1
-from forestren.series import ONE_PIPOLY, ZERO_PIPOLY, numerator_slice
+from forestren.forest import (
+    forest_shapes,
+    from_shape,
+    tree_shapes,
+    vertex_ids,
+    vertex_weights,
+)
+from forestren.projector import Nesting
+from forestren.renorm import _tree_nesting, expand_r1
+from forestren.series import ONE_PIPOLY, ZERO_PIPOLY
 
 import helpers
 
@@ -346,22 +355,40 @@ class TestRegionCoordinates:
         if n <= 5:
             assert ev0_piplus(frac, ProjectionContext(ctx.gram)) == value
 
+    def test_unit_ladders_match_conjectured_closed_form(self):
+        # A conjectured closed form, not a derivation by the engine: unit
+        # ladders of 2k vertices give pi^(2k) (1/4)_k / k!, the coefficient
+        # of x^k in (1 - pi^2 x)^(-1/4).  No proof is known, but the
+        # formula pins these values without copying any engine output.
+        coeff = Fraction(1)
+        for k in range(1, 8):
+            coeff *= Fraction(4 * k - 3, 4 * k)  # (1/4 + k - 1) / k
+            ladder = unit_tree(helpers.ladder_shape(2 * k), 2 * k)
+            assert renormalize(*ladder).exact == PiPoly.pi2(k, coeff)
+
     @pytest.mark.parametrize(
         "shape, n, states",
         [
             (helpers.ladder_shape, 8, 1605),
             (helpers.ladder_shape, 10, 10251),
+            (helpers.ladder_shape, 12, 65128),
             (helpers.corolla_shape, 10, 7895),
+            (helpers.corolla_shape, 12, 49359),
         ],
     )
-    def test_state_counts(self, shape, n, states):
-        # the moves and the symbol choice fix how many states a slice visits
-        f, Q = unit_tree(shape(n), n)
-        verts = vertex_ids(f)
-        ctx = ProjectionContext(gram(f, Q))
-        frac = GermFraction(numerator_slice(verts, n), frozenset(verts))
-        ev0_piplus_direct(frac, ctx)
-        assert len(ctx._monomial_memo) == states
+    def test_state_counts(self, shape, n, states, monkeypatch):
+        # the moves and the symbol choice fix how many states a tree visits
+        packings = []
+        build = projector._Packing.of
+
+        def spy(*args):
+            packings.append(build(*args))
+            return packings[-1]
+
+        monkeypatch.setattr(projector._Packing, "of", spy)
+        renormalize(*unit_tree(shape(n), n))
+        [packing] = packings
+        assert len(packing.memo) == states
 
     def test_corolla_10_within_budget_and_scale_free(self):
         f, Q = unit_tree(helpers.corolla_shape(10), 10)
@@ -394,6 +421,24 @@ class TestRegionCoordinates:
             assert ev0_piplus_direct(frac, ctx) == ref
             assert not ctx._coeff_cache
 
+    def test_tree_path_never_touches_the_gram_layer(self, monkeypatch):
+        forests = [
+            unit_tree(helpers.ladder_shape(n), n) for n in (2, 4, 6, 8)
+        ] + [
+            unit_tree(helpers.corolla_shape(n), n) for n in (2, 4, 6, 8)
+        ] + [parse_forest("(2 (1 (3)) (1)) (1 (5)) (3/2 (1/2))")]
+        want = [renormalize(*fQ).exact for fQ in forests]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the tree path reached the Gram layer")
+
+        monkeypatch.setattr(forestren.forest, "gram", refuse)
+        monkeypatch.setattr(forestren.renorm, "gram", refuse)
+        monkeypatch.setattr(GramMatrix, "is_positive_definite", refuse)
+        monkeypatch.setattr(projector.Nesting, "of", refuse)
+        monkeypatch.setattr(projector, "ev0_piplus_direct", refuse)
+        assert [renormalize(*fQ).exact for fQ in forests] == want
+
     def test_reference_never_reaches_fast_path(self, monkeypatch):
         rng = random.Random(10)
         fracs = [top_degree_fraction(rng, 5) for _ in range(20)]
@@ -414,7 +459,7 @@ class TestRegionCoordinates:
 class TestNesting:
     def test_reads_forest_order(self):
         f, Q = parse_forest("(1 (2) (3 (4)))")
-        nest = ProjectionContext(gram(f, Q)).nesting()
+        nest = Nesting.of(gram(f, Q))
         order = sorted(nest.pos, key=nest.pos.get)
         assert order == [0, 2, 3, 1]  # decreasing subtree weight
         assert nest.weight == (10, 7, 4, 2)
@@ -436,6 +481,38 @@ class TestNesting:
         # vertex 2 lies below both 0 and 1, which are disjoint
         rows = ((3, 0, 1), (0, 3, 1), (1, 1, 1))
         g = GramMatrix((0, 1, 2), tuple(tuple(map(Fraction, r)) for r in rows))
-        ctx = ProjectionContext(g)
         with pytest.raises(NotProperlyDecorated, match="do not nest"):
-            ctx.nesting()
+            Nesting.of(g)
+
+    @pytest.mark.parametrize("random_weights", [False, True])
+    def test_tree_walk_matches_gram(self, random_weights):
+        # weights in 1..3 tie many subtree weights, so the order's
+        # tie-break by vertex id is exercised too
+        rng = random.Random(31)
+        for n in range(1, 9):
+            for shape in tree_shapes(n):
+                weights = [
+                    rng.randint(1, 3) if random_weights else 1
+                    for _ in range(n)
+                ]
+                f, Q = from_shape((shape,), weights)
+                want = Nesting.of(gram(f, Q))
+                [tree] = f.trees
+                assert _tree_nesting(tree, vertex_weights(f, Q)) == want
+
+
+def test_tree_values_match_the_whole_forest_expansion():
+    # renormalize reads each tree's Nesting off the tree; ev0_piplus_direct
+    # reads one off the Gram matrix of the whole forest
+    rng = random.Random(32)
+    for n in (2, 4, 6):
+        for shape in forest_shapes(n):
+            for weights in ([1] * n, helpers.random_weights(rng, n, True)):
+                f, Q = from_shape(shape, weights)
+                want = ev0_piplus_direct(*expand_r1(f, Q))
+                assert renormalize(f, Q).exact == want
+
+
+def test_projector_does_not_import_forest():
+    # The fast path sees a Nesting; walks over trees belong to renorm.
+    assert "forest" not in helpers.imported_modules(projector)

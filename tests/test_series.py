@@ -5,12 +5,9 @@ import hypothesis.strategies as strat
 import pytest
 
 from forestren import NotDivisible, PiPoly, TruncSeries, VariableMismatch, h_series
-from forestren.forest import from_shape
-from forestren.renorm import expand_r1
 from forestren.series import (
     ONE_PIPOLY,
     ZERO_PIPOLY,
-    numerator_slice,
     sinc_coeffs,
     sinc_inverse_coeffs,
 )
@@ -77,19 +74,6 @@ def test_h_series_variable_embedding():
         assert ev[0] == 0 and ev[2] == 0
 
 
-def test_numerator_slice_is_degree_n_part_of_expand_r1():
-    # The numerator prod_v (1 + z_v h(z_v)) depends only on the vertex
-    # count, so n single vertices stand for every forest of degree n.
-    for n in range(11):
-        f, Q = from_shape(((),) * n, [1] * n)
-        num = expand_r1(f, Q)[0].numerator
-        want = {ev: c for ev, c in num.terms.items() if sum(ev) == n}
-        got = numerator_slice(num.variables, n)
-        assert (got.variables, got.trunc) == (num.variables, n)
-        assert got.terms == want
-        assert got.is_zero() == (n % 2 == 1)
-
-
 # ---------------------------------------------------------------------------
 # PiPoly
 # ---------------------------------------------------------------------------
@@ -124,6 +108,16 @@ class TestPiPoly:
             str(PiPoly.const(2) + PiPoly.pi2(1, Fraction(-1, 3)))
             == "2 - pi^2/3"
         )
+
+    @pytest.mark.parametrize("digits", [599, 600, 601, 1200, 4299])
+    def test_str_of_long_ints_matches_str(self, digits):
+        # long ints are rendered in pieces; below str()'s digit limit the
+        # pieces must join to exactly what str() prints
+        for i in (10**digits - 1, 10**digits, 10**digits + 7, 3 * 10**600):
+            for c in (Fraction(i), Fraction(-i, 7), Fraction(1, i)):
+                assert str(PiPoly.const(c)) == str(c)
+            c = Fraction(i, 7 * i + 1)
+            assert str(PiPoly.pi2(1, c)) == f"{i}*pi^2/{7 * i + 1}"
 
     def test_evalf(self):
         import mpmath
