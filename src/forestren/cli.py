@@ -3,7 +3,8 @@
 Commands read forest files in the grammar of :mod:`forestren.forest`, run
 the pipeline, and print deterministic results on stdout; diagnostics go to
 stderr.  Exit codes: 0 success, 1 parse/input error, 2 locality or
-proper-decoration violation, 3 failed numeric check.  A call imports only
+proper-decoration violation (and an argparse usage error, such as an option
+the command does not take), 3 failed numeric check.  A call imports only
 what its command runs: mpmath for a numeric rendering, the oracle and numpy
 for ``quad-check``.
 """
@@ -62,72 +63,62 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Exact renormalization of branched integrals on decorated rooted forests.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    renorm = sub.add_parser("renorm", help="print the renormalized value")
+    renorm.add_argument("paths", nargs="+")
+    reg = sub.add_parser(
+        "regularize", help="print the closed-form regularized symbol"
+    )
+    reg.add_argument("paths", nargs="+")
+    germ = sub.add_parser(
+        "germ", help="print the truncated holomorphic projection"
+    )
+    germ.add_argument("paths", nargs="+")
+    sim = sub.add_parser(
+        "check-similar", help="decide similarity of two forests"
+    )
+    sim.add_argument("path1")
+    sim.add_argument("path2")
+    quad = sub.add_parser(
+        "quad-check", help="compare quadrature against the closed form"
+    )
+    quad.add_argument("paths", nargs="+")
 
-    def add_common(p: argparse.ArgumentParser, with_quad: bool = False) -> None:
+    # Each command declares only the options it reads.
+    for p in (renorm, germ, sim):
         p.add_argument(
             "--trunc",
             type=int,
             default=None,
             help=(
                 "series truncation degree of the germ output (default: forest"
-                " degree + 2); other commands only check that it is at least"
-                " the forest degree"
+                " degree + 2); renorm and check-similar only check that it is"
+                " at least the forest degree"
             ),
         )
-        p.add_argument(
-            "--format",
-            choices=("exact", "float", "both"),
-            default="both",
-            help="which value renderings to print",
-        )
-        p.add_argument(
-            "--seed",
-            type=int,
-            default=0,
-            help="seed for randomized checks",
-        )
+    renorm.add_argument(
+        "--format",
+        choices=("exact", "float", "both"),
+        default="both",
+        help="which value renderings to print",
+    )
+    quad.add_argument(
+        "--seed",
+        type=int,
+        default=0,
+        help="seed for randomized checks",
+    )
+    for p in (renorm, reg, germ, sim, quad):
         p.add_argument(
             "--explicit",
             action="store_true",
             help="require explicit vector decorations with a Q= line",
         )
-        if with_quad:
-            p.add_argument(
-                "--quad-tol",
-                type=float,
-                default=1e-6,
-                help="maximum admissible quadrature relative error",
-            )
-
-    p_renorm = sub.add_parser("renorm", help="print the renormalized value")
-    p_renorm.add_argument("paths", nargs="+")
-    add_common(p_renorm)
-
-    p_reg = sub.add_parser(
-        "regularize", help="print the closed-form regularized symbol"
+    quad.add_argument(
+        "--quad-tol",
+        type=float,
+        default=1e-6,
+        help="maximum admissible quadrature relative error",
     )
-    p_reg.add_argument("paths", nargs="+")
-    add_common(p_reg)
-
-    p_germ = sub.add_parser(
-        "germ", help="print the truncated holomorphic projection"
-    )
-    p_germ.add_argument("paths", nargs="+")
-    add_common(p_germ)
-
-    p_sim = sub.add_parser(
-        "check-similar", help="decide similarity of two forests"
-    )
-    p_sim.add_argument("path1")
-    p_sim.add_argument("path2")
-    add_common(p_sim)
-
-    p_quad = sub.add_parser(
-        "quad-check", help="compare quadrature against the closed form"
-    )
-    p_quad.add_argument("paths", nargs="+")
-    add_common(p_quad, with_quad=True)
-
     return parser
 
 

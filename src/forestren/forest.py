@@ -220,12 +220,9 @@ def gram(forest: DecoratedForest, Q: InnerProduct) -> GramMatrix:
     For a properly decorated forest, Q(L_v, L_w) is the sum of the
     self-pairings q_u = Q(d(u), d(u)) over the vertices u common to the two
     maximal subtrees: cross terms vanish by orthogonality, and two subtree
-    vertex sets are either nested or disjoint.
+    vertex sets are either nested or disjoint.  The weights come from
+    :func:`vertex_weights`, which raises on any other forest.
     """
-    if not check_properly_decorated(forest, Q):
-        raise NotProperlyDecorated(
-            "gram matrix requires pairwise orthogonal nonzero decorations"
-        )
     weights = vertex_weights(forest, Q)
     sets: dict[VertexId, frozenset[VertexId]] = {}  # maximal subtree of each vertex
     for node in reversed(list(iter_vertices(forest))):
@@ -247,7 +244,18 @@ def gram(forest: DecoratedForest, Q: InnerProduct) -> GramMatrix:
 def vertex_weights(
     forest: DecoratedForest, Q: InnerProduct
 ) -> dict[VertexId, Fraction]:
-    """The self-pairings q_v = Q(d(v), d(v)); raises NonPositiveWeight."""
+    """The self-pairings q_v = Q(d(v), d(v)) of a properly decorated forest.
+
+    The pipeline's one validation: :func:`gram`, ``regularize`` and
+    ``renormalize`` check nothing else.  Raises :class:`NotProperlyDecorated`
+    unless :func:`check_properly_decorated` holds, then
+    :class:`NonPositiveWeight` at the first vertex whose weight is not
+    positive.
+    """
+    if not check_properly_decorated(forest, Q):
+        raise NotProperlyDecorated(
+            "the pipeline is defined only for properly decorated forests"
+        )
     weights: dict[VertexId, Fraction] = {}
     for node in iter_vertices(forest):
         q = inner(Q, node.decoration, node.decoration)
@@ -342,7 +350,10 @@ def _parse_fraction(tok: str) -> Fraction:
     try:
         return Fraction(tok)
     except (ValueError, ZeroDivisionError) as exc:
-        raise ParseError(f"invalid rational {tok!r}") from exc
+        shown = repr(tok)
+        if len(tok) > 20:  # a token may run to any length
+            shown = f"{tok[:20]!r}... ({len(tok)} characters)"
+        raise ParseError(f"invalid rational {shown}") from exc
 
 
 def _parse_q_matrix(text: str) -> InnerProduct:

@@ -228,13 +228,14 @@ def _positive_definite(a: list[list[Fraction]]) -> bool:
 
 def inner(Q: InnerProduct, a: LinearForm, b: LinearForm) -> Fraction:
     """The bilinear value Q(a, b)."""
+    active = Q._active
     for lf in (a, b):
-        outside = lf.support - Q._active
-        if outside:
-            raise IndexOutOfRange(
-                f"index {min(outside)} outside the active set of the inner product"
-            )
-    total = Fraction(0)
+        for i, _ in lf.items:  # sorted: the first index outside is the least
+            if i not in active:
+                raise IndexOutOfRange(
+                    f"index {i} outside the active set of the inner product"
+                )
+    total = _ZERO
     for i, ca in a.items:
         for j, cb in b.items:
             q = Q.entry(i, j)

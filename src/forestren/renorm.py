@@ -18,13 +18,12 @@ from fractions import Fraction
 from functools import cached_property
 from typing import TYPE_CHECKING, Optional
 
-from .errors import NotProperlyDecorated, NumeratorTooLarge, TruncationBelowDegree
+from .errors import NumeratorTooLarge, TruncationBelowDegree
 from .forest import (
     DecoratedForest,
     DecoratedTree,
     VertexId,
     canonical,
-    check_properly_decorated,
     decorations,
     degree,
     forest_of,
@@ -96,18 +95,9 @@ class RenormalizedValue:
         return mpmath.nstr(self.numeric, digits)
 
 
-def _require_properly_decorated(
-    forest: DecoratedForest, Q: InnerProduct
-) -> None:
-    if not check_properly_decorated(forest, Q):
-        raise NotProperlyDecorated(
-            "the pipeline is defined only for properly decorated forests"
-        )
-
-
 def regularize(forest: DecoratedForest, Q: InnerProduct) -> RegularizedIntegral:
     """Closed form of the regularized branched integral attached to a forest."""
-    _require_properly_decorated(forest, Q)
+    vertex_weights(forest, Q)  # validates the forest
     sums = subtree_sums(forest)
     # The exponent is the sum of all decorations, equivalently the sum of the
     # root subtree sums of the individual trees.
@@ -142,7 +132,8 @@ def expand_r1(
     Each factor pi/sin(pi L_v) = 1/z_v + h(z_v) in the coordinate z_v = L_v;
     the product over all vertices equals
     prod_v (1 + z_v h(z_v)) / prod_v z_v, a fraction with one simple pole per
-    vertex.  The context carries the Gram matrix of the subtree sums.
+    vertex.  The context carries the Gram matrix of the subtree sums, whose
+    :func:`gram` validates the forest.
     """
     ctx = ProjectionContext(gram(forest, Q))
     N = _require_trunc(forest, N)
@@ -171,12 +162,12 @@ def renormalize(
     tree is odd, a slice of more than :data:`MAX_SLICE_TERMS` terms (a tree
     of degree 16 or more) raises :class:`NumeratorTooLarge` before any
     projection.  ``N`` must be at least the forest degree but does not
-    change the value.  The unfactored evaluation of :func:`expand_r1` on the
-    whole forest is the reference the tests check this against.
+    change the value.  The forest is validated first, by
+    :func:`vertex_weights`.  The unfactored evaluation of :func:`expand_r1`
+    on the whole forest is the reference the tests check this against.
     """
-    _require_properly_decorated(forest, Q)
-    _require_trunc(forest, N)
     weights = vertex_weights(forest, Q)
+    _require_trunc(forest, N)
     degrees = [t.vertex_count() for t in forest.trees]
     if any(n % 2 for n in degrees):
         return RenormalizedValue.from_exact(ZERO_PIPOLY)
@@ -197,11 +188,12 @@ def _tree_nesting(
 ) -> Nesting:
     """The :class:`Nesting` of one tree, ordered as :meth:`Nesting.of` does."""
     below: dict[VertexId, frozenset[VertexId]] = {}  # strict descendants
+    total: dict[VertexId, Fraction] = {}
     for node in reversed(list(iter_vertices(forest_of(tree)))):
-        below[node.root_id] = frozenset().union(
-            *(below[c.root_id] | {c.root_id} for c in node.children)
-        )
-    total = {v: weights[v] + sum(weights[u] for u in below[v]) for v in below}
+        v = node.root_id
+        kids = [c.root_id for c in node.children]
+        below[v] = frozenset().union(*(below[c] | {c} for c in kids))
+        total[v] = sum((total[c] for c in kids), weights[v])
     order = sorted(total, key=lambda v: (-total[v], v))
     pos = {v: i for i, v in enumerate(order)}
     anc = tuple(sum(1 << pos[a] for a in order if v in below[a]) for v in order)

@@ -136,7 +136,7 @@ GERM_GOLDENS = {
 class TestGerm:
     def test_truncated_projection_golden(self, workdir):
         f = put(workdir, "l2.forest", "(1 (1))")
-        rc, out, err = invoke(["germ", f, "--trunc", "4", "--format", "exact"])
+        rc, out, err = invoke(["germ", f, "--trunc", "4"])
         assert (rc, err) == (0, "")
         assert out == (
             "pi^2/4 + 7*pi^4/144*z1^2 + (-13*pi^4/288)*z0*z1"
@@ -257,6 +257,7 @@ class TestErrorPaths:
         assert (rc, out) == (1, "")
         assert err.startswith("error: invalid rational '777")
         assert err.count("\n") == 1
+        assert len(err) < 100  # an excerpt, not the 5,000-digit token
 
     def test_nonpositive_weight_exit_1(self, workdir):
         f = put(workdir, "bad.forest", "(0)")
@@ -294,6 +295,31 @@ class TestErrorPaths:
             "",
             "error: truncation 1 is below the forest degree 2\n",
         )
+
+    @pytest.mark.parametrize(
+        "command, option",
+        [
+            ("renorm", "--seed"),
+            ("regularize", "--seed"),
+            ("regularize", "--format"),
+            ("regularize", "--trunc"),
+            ("germ", "--seed"),
+            ("germ", "--format"),
+            ("check-similar", "--seed"),
+            ("check-similar", "--format"),
+            ("quad-check", "--format"),
+            ("quad-check", "--trunc"),
+        ],
+    )
+    def test_option_the_command_does_not_read_exit_2(
+        self, workdir, command, option
+    ):
+        f = put(workdir, "l2.forest", "(1 (1))")
+        paths = [f, f] if command == "check-similar" else [f]
+        value = "exact" if option == "--format" else "0"
+        with pytest.raises(SystemExit) as exc:
+            invoke([command, *paths, option, value])
+        assert exc.value.code == 2
 
     @pytest.mark.parametrize("command", ["renorm", "regularize"])
     def test_deep_nesting_exit_1(self, workdir, command):

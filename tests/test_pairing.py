@@ -108,6 +108,11 @@ class TestInnerProduct:
         Q = InnerProduct.identity(2)
         with pytest.raises(IndexOutOfRange):
             inner(Q, basis(7), basis(0))
+        # the message names the least index outside, in a, then in b
+        with pytest.raises(IndexOutOfRange, match="^index 5 outside"):
+            inner(Q, form({9: 1, 0: 1, 5: 2}), basis(3))
+        with pytest.raises(IndexOutOfRange, match="^index 4 outside"):
+            inner(Q, basis(1), form({8: 1, 4: 1}))
 
 
 def test_is_independent_examples():

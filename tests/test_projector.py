@@ -487,18 +487,22 @@ class TestNesting:
     @pytest.mark.parametrize("random_weights", [False, True])
     def test_tree_walk_matches_gram(self, random_weights):
         # weights in 1..3 tie many subtree weights, so the order's
-        # tie-break by vertex id is exercised too
+        # tie-break by vertex id is exercised too; fractional weights
+        # give subtree weights with unlike denominators
         rng = random.Random(31)
         for n in range(1, 9):
             for shape in tree_shapes(n):
-                weights = [
-                    rng.randint(1, 3) if random_weights else 1
-                    for _ in range(n)
-                ]
-                f, Q = from_shape((shape,), weights)
-                want = Nesting.of(gram(f, Q))
-                [tree] = f.trees
-                assert _tree_nesting(tree, vertex_weights(f, Q)) == want
+                draws = (
+                    [[rng.randint(1, 3) for _ in range(n)],
+                     helpers.random_weights(rng, n, True)]
+                    if random_weights
+                    else [[1] * n]
+                )
+                for weights in draws:
+                    f, Q = from_shape((shape,), weights)
+                    want = Nesting.of(gram(f, Q))
+                    [tree] = f.trees
+                    assert _tree_nesting(tree, vertex_weights(f, Q)) == want
 
 
 def test_tree_values_match_the_whole_forest_expansion():

@@ -20,13 +20,15 @@ from forestren import (
     ev0_piplus_direct,
     expand_r1,
     form,
+    gram,
     is_similar,
     parse_forest,
     r1,
     regularize,
     renormalize,
 )
-from forestren.forest import degree, shape_size
+import forestren.forest
+from forestren.forest import degree, forest_of, shape_size, tree
 from forestren.pairing import LinearForm
 
 import helpers
@@ -229,6 +231,42 @@ class TestGuards:
             renormalize(f, skew)
         with pytest.raises(NotProperlyDecorated):
             regularize(f, skew)
+
+    @pytest.mark.parametrize(
+        "stage",
+        [renormalize, regularize, gram, expand_r1],
+        ids=lambda stage: stage.__name__,
+    )
+    def test_one_rule_one_message(self, stage):
+        ladder, _ = parse_forest("(1 (1))")
+        skew = InnerProduct.from_matrix(
+            [[1, Fraction(1, 2)], [Fraction(1, 2), 1]]
+        )
+        zero = forest_of(tree(0, LinearForm(()), [tree(1, basis(1))]))
+        for f, Q in ((ladder, skew), (zero, InnerProduct.identity(2))):
+            with pytest.raises(
+                NotProperlyDecorated,
+                match="^the pipeline is defined only for properly"
+                " decorated forests$",
+            ):
+                stage(f, Q)
+        f, _ = parse_forest("(1) (1 (1))")
+        indefinite = InnerProduct.diagonal({0: 1, 1: 1, 2: -1})
+        with pytest.raises(NonPositiveWeight):
+            stage(f, indefinite)
+
+    def test_one_validation_per_call(self, monkeypatch):
+        f, Q = parse_forest("(1 (1)) (2 (1) (3) (1))")
+        calls = []
+        check = forestren.forest.check_properly_decorated
+
+        def spy(*args):
+            calls.append(args)
+            return check(*args)
+
+        monkeypatch.setattr(forestren.forest, "check_properly_decorated", spy)
+        assert not renormalize(f, Q).exact.is_zero()
+        assert calls == [(f, Q)]
 
     def test_weights_checked_past_an_odd_tree(self):
         # the odd first tree ends the product, but every vertex is validated
