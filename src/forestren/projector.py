@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from operator import getitem
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Optional
 
@@ -66,12 +66,14 @@ class Nesting(NamedTuple):
 
     Positions list the vertices by decreasing weight W_v = Q(L_v, L_v),
     ties by vertex id, so an ancestor always precedes its descendants.
-    ``anc[i]`` and ``desc[i]`` are bit masks over positions of the strict
-    ancestors and descendants of position i.
+    ``weight[i]`` is W_v times the common denominator of all the W_v, an
+    int: the value at zero does not change when every weight is scaled by
+    one factor.  ``anc[i]`` and ``desc[i]`` are bit masks over positions of
+    the strict ancestors and descendants of position i.
     """
 
     pos: dict[VertexId, int]
-    weight: tuple[Fraction, ...]
+    weight: tuple[int, ...]
     anc: tuple[int, ...]
     desc: tuple[int, ...]
 
@@ -84,15 +86,17 @@ class Nesting(NamedTuple):
         a chain.  With a positive-definite matrix these conditions say that
         it is the Gram matrix of the subtree sums of a forest.
         """
-        order = sorted(gram.vertices, key=lambda v: (-gram.entry(v, v), v))
-        weight = tuple(Fraction(gram.entry(v, v)) for v in order)
+        diag = {v: Fraction(gram.entry(v, v)) for v in gram.vertices}
+        scale = lcm(*(w.denominator for w in diag.values()))
+        scaled = {v: int(w * scale) for v, w in diag.items()}
+        order = sorted(gram.vertices, key=lambda v: (-scaled[v], v))
         n = len(order)
         anc = [0] * n
         desc = [0] * n
         for i in range(n):
             for j in range(i + 1, n):
                 g = gram.entry(order[i], order[j])
-                if g == weight[j]:
+                if g == diag[order[j]]:
                     anc[j] |= 1 << i
                     desc[i] |= 1 << j
                 elif g != 0:
@@ -109,6 +113,7 @@ class Nesting(NamedTuple):
                     f" containing vertex {order[i]} do not nest"
                 )
         pos = {v: i for i, v in enumerate(order)}
+        weight = tuple(scaled[v] for v in order)
         return Nesting(pos, weight, tuple(anc), tuple(desc))
 
 
@@ -271,10 +276,12 @@ def ev0_piplus_direct(frac: GermFraction, ctx: ProjectionContext) -> PiPoly:
         else:
             add.append([e * z for e in range(n + 1)])
     all_poles = sum(1 << pos[p] for p in frac.poles)
+    den = lcm(*(c.denominator for _, coeff in terms for c in coeff.coeffs))
     return PiPoly.from_coeffs(_ev0_sum(pk, (
-        (sum(map(getitem, add, exps), all_poles), coeff.coeffs)
+        (sum(map(getitem, add, exps), all_poles),
+         tuple(c.numerator * (den // c.denominator) for c in coeff.coeffs))
         for exps, coeff in terms
-    )))
+    ), den))
 
 
 def ev0_tree(nest: Nesting) -> PiPoly:
@@ -284,18 +291,23 @@ def ev0_tree(nest: Nesting) -> PiPoly:
     Only numerator terms of degree n, the vertex count, reach it, and z h(z)
     is even, so they are Pi^(n/2) prod_v u_(m_v) z_v^(2 m_v) over the
     m_v >= 0 summing to n/2 (none for odd n), u = :func:`sinc_inverse_coeffs`.
-    A depth-first walk over these compositions hands each term to the engine
-    as a state, where move 1 has divided one power out of each z_v^(2 m_v).
+    With L the common denominator of u_1 .. u_(n/2), the v_m = u_m L^m are
+    ints and each term's coefficient is prod_v v_(m_v) / L^(n/2), so a
+    depth-first walk over these compositions multiplies ints only.  It hands
+    each term to the engine as a state, where move 1 has divided one power
+    out of each z_v^(2 m_v), and the sums go over L^(n/2) at the end.
     """
     n = len(nest.weight)
     if n % 2:
         return ZERO_PIPOLY
     half = n // 2
     u = sinc_inverse_coeffs(half + 1)
+    scale = lcm(*(c.denominator for c in u))
+    v = [c.numerator * (scale**m // c.denominator) for m, c in enumerate(u)]
     pk = _Packing.of(nest, {})
 
-    def terms() -> Iterator[tuple[int, tuple[Fraction]]]:
-        stack = [(0, pk.poles, half, Fraction(1))]  # position, state, left, c
+    def terms() -> Iterator[tuple[int, tuple[int]]]:
+        stack = [(0, pk.poles, half, 1)]  # position, state, left, coefficient
         while stack:
             p, state, left, c = stack.pop()
             if not left:  # the other positions take m = 0
@@ -306,16 +318,17 @@ def ev0_tree(nest: Nesting) -> PiPoly:
                 stack.append((p + 1, state, left, c))
             for m in range(1 if p < n - 1 else left, left + 1):
                 stack.append(
-                    (p + 1, state + (2 * m - 1) * z - bit, left - m, c * u[m])
+                    (p + 1, state + (2 * m - 1) * z - bit, left - m, c * v[m])
                 )
 
-    return PiPoly.from_coeffs([0] * half + _ev0_sum(pk, terms()))
+    return PiPoly.from_coeffs([0] * half + _ev0_sum(pk, terms(), scale**half))
 
 
 def _ev0_sum(
-    pk: _Packing, terms: Iterable[tuple[int, tuple[Fraction, ...]]]
+    pk: _Packing, terms: Iterable[tuple[int, tuple[int, ...]]], den: int
 ) -> list[Fraction]:
-    """Per power of Pi, the sum of coefficient * state value over the terms."""
+    """Per power of Pi, the sum of coefficient * state value over the terms,
+    each coefficient an int over the common denominator ``den``."""
     sums: list[dict[int, int]] = []  # numerator sums by denominator
     for state, coeffs in terms:
         wn, wd = _region_value(pk, state)
@@ -323,9 +336,8 @@ def _ev0_sum(
             sums += [{} for _ in range(len(coeffs) - len(sums))]
             for acc, c in zip(sums, coeffs):
                 if c:
-                    d = c.denominator * wd
-                    acc[d] = acc.get(d, 0) + c.numerator * wn
-    return [sum((Fraction(v, d) for d, v in acc.items()), Fraction(0))
+                    acc[wd] = acc.get(wd, 0) + c * wn
+    return [sum((Fraction(v, d * den) for d, v in acc.items()), Fraction(0))
             for acc in sums]
 
 
@@ -348,11 +360,12 @@ def _require_vertices(frac: GermFraction, ctx: ProjectionContext) -> None:
 # no factor.  Moves keep the degree equal to the pole count, which is at
 # most n, so ``width`` = n.bit_length() bits hold every exponent: bumping
 # one is an integer add and dropping a pole clears its bit.  A state with
-# no pole is 0.  Values are reduced (numerator, denominator) pairs of ints
-# with a positive denominator, reduced once per stored state.  On unit
-# ladders of 10, 12 and 14 vertices the memo and the region cache hold
-# 238-245 bytes per state (tracemalloc); sorted tuples of (symbol, exponent)
-# pairs with Fraction values took 501-587.
+# no pole is 0.  Weights are the ints of :class:`Nesting`, so the moves
+# multiply and divide by ints, and values are reduced (numerator,
+# denominator) pairs of ints with a positive denominator, reduced once per
+# stored state.  On unit ladders of 10, 12 and 14 vertices the memo and the
+# region cache hold 233-241 bytes per state (tracemalloc); sorted tuples of
+# (symbol, exponent) pairs with Fraction values took 501-587.
 
 _ZERO = (0, 1)
 _ONE = (1, 1)
@@ -364,7 +377,11 @@ class _Packing(NamedTuple):
     ``unit[s]`` is 1 in the lowest bit of symbol s's field, ``shift[s]``
     that bit's index, ``below[s]`` = unit[s] - 1 masks the pole bits and
     the fields of smaller symbols, and ``rkey[s]`` is the position part
-    (s >> 1) << n of a :meth:`region` key.
+    (s >> 1) << n of a :meth:`region` key.  ``drops[sign, p, a]`` is move 1
+    on the term sign * z_p with a the nearest pole above p (-1 if none):
+    ``(sign, pole bit, shift of the field of y_p / R(p), merge)``, where
+    ``merge`` adds one power of y_a / R(a) and takes one of y_p / R(p), or
+    is None when region p leaves the pole span.
     """
 
     nest: Nesting
@@ -375,6 +392,7 @@ class _Packing(NamedTuple):
     shift: tuple[int, ...]
     below: tuple[int, ...]
     rkey: tuple[int, ...]
+    drops: dict[tuple[int, int, int], tuple[int, int, int, Optional[int]]]
     memo: dict[int, tuple[int, int]]  # state -> value
     regions: dict[int, tuple]  # region key -> region entry
 
@@ -384,6 +402,17 @@ class _Packing(NamedTuple):
         width = n.bit_length()
         shift = tuple(n + s * width for s in range(2 * n))
         unit = tuple(1 << t for t in shift)
+        drops = {
+            (sign, p, a): (
+                sign,
+                1 << p,
+                shift[2 * p + 1],
+                unit[2 * a + 1] - unit[2 * p + 1] if a >= 0 else None,
+            )
+            for sign in (1, -1)
+            for p in range(n)
+            for a in range(-1, p)  # an ancestor precedes p
+        }
         return _Packing(
             nest,
             width,
@@ -393,54 +422,48 @@ class _Packing(NamedTuple):
             shift,
             tuple(u - 1 for u in unit),
             tuple((s >> 1) << n for s in range(2 * n)),
+            drops,
             memo,
             {},
         )
 
-    def region(
-        self, poles: int, i: int
-    ) -> tuple[int, int, tuple[int, ...], int, int, int]:
-        """Where position i sits among the poles of the bit mask ``poles``.
+    def region(self, poles: int, i: int) -> tuple[int, tuple, int, int]:
+        """How the moves rewrite the symbol at position i, given the poles
+        of the bit mask ``poles``.
 
-        Returns ``(z_terms, y_terms, tops, share_num, share_den, up)``:
-        the maximal poles ``tops`` strictly below i, the weight W_i minus
-        theirs as a reduced pair of ints, and the nearest pole ``up``
-        strictly above i (-1 if none), all in nesting positions;
-        ``z_terms`` and ``y_terms`` count the terms that moves 2 and 3 of
-        :func:`ev0_piplus_direct` make on i.  For a pole the weight is its
-        region weight R(i); for a non-pole it is the squared norm of the
-        part of L_i that lies in no pole's subtree.  Entries are cached
-        under the one int ``i << n | poles``, n the vertex count.
+        Returns ``(terms, drops, share, up)``.  ``up`` is the nearest pole
+        strictly above i (-1 if none), and ``share`` the int weight W_i
+        minus those of the maximal poles strictly below i, its tops: for a
+        pole its region weight R(i), for a non-pole the squared norm of the
+        part of L_i that lies in no pole's subtree.  ``drops`` are the
+        terms z_p that move 1 then takes, from :attr:`drops`: for a pole,
+        move 3 makes +z_i and -z_c over its tops; for a non-pole, move 2
+        makes +z_c over its tops.  ``terms`` counts the terms of i's move:
+        the drops, and for a non-pole below a pole the term in y_up.
+        Entries are cached under the one int ``i << n | poles``, n the
+        vertex count.
         """
         nest = self.nest
         key = i << len(nest.weight) | poles
         hit = self.regions.get(key)
         if hit is None:
-            w = nest.weight[i]
-            num, den = w.numerator, w.denominator
+            share = nest.weight[i]
             tops = []
             rest = nest.desc[i] & poles
             while rest:
                 c = (rest & -rest).bit_length() - 1
                 rest &= ~(nest.desc[c] | 1 << c)  # c is a top: skip below
                 tops.append(c)
-                w = nest.weight[c]
-                if w.denominator == den:
-                    num -= w.numerator
-                else:
-                    num, den = num * w.denominator - w.numerator * den, (
-                        den * w.denominator
-                    )
-            g = gcd(num, den)
+                share -= nest.weight[c]
             up = (nest.anc[i] & poles).bit_length() - 1
-            hit = self.regions[key] = (
-                len(tops) + (up >= 0),
-                len(tops) + 1,
-                tuple(tops),
-                num // g,
-                den // g,
-                up,
-            )
+            drops = self.drops
+            if poles >> i & 1:
+                moved = [drops[1, i, up]] + [drops[-1, c, i] for c in tops]
+                terms = len(moved)
+            else:
+                moved = [drops[1, c, up] for c in tops]
+                terms = len(moved) + (up >= 0)
+            hit = self.regions[key] = (terms, tuple(moved), share, up)
         return hit
 
 
@@ -472,28 +495,35 @@ def _region_value(pk: _Packing, state: int) -> tuple[int, int]:
         e = regions.get(rkey[s] | poles)
         if e is None:
             e = pk.region(poles, s >> 1)
-        terms = e[s & 1]
-        if terms < fewest:
-            best, entry, fewest = s, e, terms
-    _, _, tops, share_num, share_den, a = entry
-    i = best >> 1
+        if e[0] < fewest:
+            best, entry, fewest = s, e, e[0]
+    _, drops, share, a = entry
     rest = state - pk.unit[best]
+    num, den = 0, 1
+    if not best & 1 and a >= 0:
+        # move 2's term off the poles: (W_i - sum of W_c) * y_a / R(a)
+        num, den = _region_value(pk, rest + pk.unit[2 * a + 1])
+        num *= share
+    # move 2 (z_i -> sum of z_c) or 3 (y_i / R(i) -> (z_i - sum of z_c) /
+    # R(i)) then move 1 on each z_p: divide it out, drop pole p, and merge
+    # region p into the region of p's nearest pole ancestor, onto which both
+    # scaled coordinates project; without one, y_p projects to 0
+    field = pk.field
+    for sign, bit, yshift, merge in drops:
+        sub = rest - bit
+        e = sub >> yshift & field
+        if e:
+            if merge is None:
+                continue
+            sub += e * merge
+        vn, vd = _region_value(pk, sub)
+        if vn:
+            if vd == den:
+                num += sign * vn
+            else:
+                num, den = num * vd + sign * vn * den, den * vd
     if best & 1:
-        # move 3: y_i / R(i) = (z_i - sum of z_c over i's child poles) / R(i)
-        parts = [_drop_pole(pk, rest, i, a)]
-        for c in tops:
-            vn, vd = _drop_pole(pk, rest, c, i)
-            parts.append((-vn, vd))
-        num, den = _pair_sum(parts)
-        num *= share_den
-        den *= share_num
-    else:
-        # move 2: z_i -> sum of z_c + (W_i - sum of W_c) * y_a / R(a)
-        parts = [_drop_pole(pk, rest, c, a) for c in tops]
-        if a >= 0:
-            vn, vd = _region_value(pk, rest + pk.unit[2 * a + 1])
-            parts.append((vn * share_num, vd * share_den))
-        num, den = _pair_sum(parts)
+        den *= share
     if num:
         g = gcd(num, den)
         val = (num // g, den // g)
@@ -501,37 +531,6 @@ def _region_value(pk: _Packing, state: int) -> tuple[int, int]:
         val = _ZERO
     memo[state] = val
     return val
-
-
-def _drop_pole(pk: _Packing, state: int, p: int, a: int) -> tuple[int, int]:
-    """Move 1 on z_p * the state's monomial: divide z_p out and drop pole p.
-
-    Region p merges into the region of p's nearest pole ancestor a, onto
-    which the scaled coordinates of both regions project; without a pole
-    ancestor (a = -1), region p leaves the pole span and its coordinate
-    projects to 0.
-    """
-    yp = 2 * p + 1
-    e = state >> pk.shift[yp] & pk.field
-    if e:
-        if a < 0:
-            return _ZERO
-        state += e * (pk.unit[2 * a + 1] - pk.unit[yp])
-    return _region_value(pk, state - (1 << p))
-
-
-def _pair_sum(parts: list[tuple[int, int]]) -> tuple[int, int]:
-    """The sum of (numerator, denominator) pairs, not reduced."""
-    num, den = 0, 1
-    for vn, vd in parts:
-        if vn:
-            if not num:
-                num, den = vn, vd
-            elif vd == den:
-                num += vn
-            else:
-                num, den = num * vd + vn * den, den * vd
-    return num, den
 
 
 def piplus_expand(frac: GermFraction, ctx: ProjectionContext) -> TruncSeries:

@@ -41,9 +41,9 @@ if TYPE_CHECKING:  # mpmath loads on the first numeric rendering
     import mpmath
 
 # C(n/2 + n - 1, n - 1) terms at degree n: 77,520 at 14, 490,314 at 16.
-# Projection keeps about 5 region states per term, about 250 bytes each
+# Projection keeps about 5 region states per term, about 240 bytes each
 # (0.3 KB of peak RSS), so a 16-tree would need about 1 GB; a 14-ladder
-# peaks near 120 MB.
+# peaks at 121 MB.
 MAX_SLICE_TERMS = 10**5
 # germ projects the dense numerator of expand_r1; on a 2-core Xeon, degree 5
 # takes up to 3 s at truncation 7 but 15 s at 8, and a 6-corolla minutes
@@ -186,14 +186,20 @@ def renormalize(
 def _tree_nesting(
     tree: DecoratedTree, weights: dict[VertexId, Fraction]
 ) -> Nesting:
-    """The :class:`Nesting` of one tree, ordered as :meth:`Nesting.of` does."""
+    """The :class:`Nesting` of one tree, ordered and scaled to ints as
+    :meth:`Nesting.of` does: the common denominator of the vertex weights
+    is that of the subtree weights."""
+    nodes = list(iter_vertices(forest_of(tree)))
+    scale = math.lcm(*(weights[node.root_id].denominator for node in nodes))
     below: dict[VertexId, frozenset[VertexId]] = {}  # strict descendants
-    total: dict[VertexId, Fraction] = {}
-    for node in reversed(list(iter_vertices(forest_of(tree)))):
+    total: dict[VertexId, int] = {}
+    for node in reversed(nodes):
         v = node.root_id
         kids = [c.root_id for c in node.children]
         below[v] = frozenset().union(*(below[c] | {c} for c in kids))
-        total[v] = sum((total[c] for c in kids), weights[v])
+        w = weights[v]
+        own = w.numerator * (scale // w.denominator)
+        total[v] = sum((total[c] for c in kids), own)
     order = sorted(total, key=lambda v: (-total[v], v))
     pos = {v: i for i, v in enumerate(order)}
     anc = tuple(sum(1 << pos[a] for a in order if v in below[a]) for v in order)

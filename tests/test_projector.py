@@ -390,6 +390,28 @@ class TestRegionCoordinates:
         [packing] = packings
         assert len(packing.memo) == states
 
+    def test_ev0_tree_is_scale_free(self):
+        # the engine reads the int weights of a Nesting only up to a
+        # common factor: entry states hold no region symbol
+        rng = random.Random(33)
+        for n in (2, 4, 6, 8):
+            for shape in tree_shapes(n):
+                weights = helpers.random_weights(rng, n, True)
+                f, Q = from_shape((shape,), weights)
+                [tree] = f.trees
+                nest = _tree_nesting(tree, vertex_weights(f, Q))
+                sevenfold = tuple(7 * w for w in nest.weight)
+                want = projector.ev0_tree(nest)
+                assert projector.ev0_tree(nest._replace(weight=sevenfold)) == want
+
+    @pytest.mark.parametrize("shape", tree_shapes(6))
+    def test_generic_weights_match_telescoping(self, shape):
+        # weights 1 + 1/p over distinct primes: no two subset sums agree,
+        # and the Nesting's ints are over the common denominator 30030
+        weights = [1 + Fraction(1, p) for p in (2, 3, 5, 7, 11, 13)]
+        f, Q = from_shape((shape,), weights)
+        assert renormalize(f, Q).exact == ev0_piplus(*expand_r1(f, Q))
+
     def test_corolla_10_within_budget_and_scale_free(self):
         f, Q = unit_tree(helpers.corolla_shape(10), 10)
         start = time.process_time()
@@ -502,7 +524,9 @@ class TestNesting:
                     f, Q = from_shape((shape,), weights)
                     want = Nesting.of(gram(f, Q))
                     [tree] = f.trees
-                    assert _tree_nesting(tree, vertex_weights(f, Q)) == want
+                    got = _tree_nesting(tree, vertex_weights(f, Q))
+                    assert got == want
+                    assert {type(w) for w in got.weight + want.weight} == {int}
 
 
 def test_tree_values_match_the_whole_forest_expansion():
