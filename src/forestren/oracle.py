@@ -9,7 +9,9 @@ the main code:
   inside float64.  Every vertex integrates over the same grid, so each
   refinement level builds the kernel 1/(y_j + y_k) once, rescaled to lie in
   [1/2, 1), and every vertex but a root contracts against it with
-  block-scaled multiply-adds instead of transcendentals;
+  block-scaled multiply-adds instead of transcendentals.  Only the near
+  tiles of that kernel are stored: between nodes far apart on the grid the
+  rescaled kernel is exactly 1.0, so a far block contracts as its sum;
 * a literal subset-sum re-derivation of the renormalized value, expanding
   the cosecant product into its 2^n Laurent terms and projecting each term
   separately with a randomized telescoping order.
@@ -42,11 +44,12 @@ if TYPE_CHECKING:  # numpy loads on the first quadrature call, not on import
 
 # Kernel entries (grid nodes squared, times the vertices that are not roots,
 # which contract against the level's kernel once each) that quad_tree may
-# contract at one refinement level: they bound its time, while its memory is
-# one nodes-squared kernel per level.  The 4-vertex tree (1 (2) (3 (1)))
-# converges at level 6 with 15.9 million, the benchmark's quadrature trees
-# by level 5 with at most 6.6 million (5 contractions); a 50-deep ladder
-# would need 65 million at level 5.
+# contract at one refinement level, a far block of ones counted in full: they
+# bound its time, while its memory is only the near tiles of one kernel per
+# level, 16% of nodes squared at level 5 and 14% at level 6.  The 4-vertex
+# tree (1 (2) (3 (1))) converges at level 6 with 15.9 million, the
+# benchmark's quadrature trees by level 5 with at most 6.6 million (5
+# contractions); a 50-deep ladder would need 65 million at level 5.
 MAX_QUAD_KERNEL = 2 * 10**7
 
 # Convergence targets of the refinement loop: the estimates of two
@@ -107,8 +110,10 @@ def _finite_max(a: np.ndarray, axis: Optional[int] = None) -> np.ndarray:
 def _logsumexp(a: np.ndarray, axis: Optional[int] = None) -> np.ndarray:
     import numpy as np
     m = _finite_max(a, axis)
+    a = a - m
+    np.exp(a, out=a)
     with np.errstate(divide="ignore"):
-        out = np.log(np.sum(np.exp(a - m), axis=axis))
+        out = np.log(np.sum(a, axis=axis))
     return out + np.squeeze(m, axis=axis)
 
 
@@ -155,6 +160,26 @@ def _check_strip(
 # Grid nodes per block of the shared kernel.  Each vertex scales its weights
 # block by block, so every product against the kernel sums terms of one scale.
 _KERNEL_BLOCK = 64
+# Log-distance beyond which 1 + e^(-d) rounds to 1 in float64, so that the
+# kernel entry B is exactly 1.0.  Entries are clipped here, which spares exp
+# its slow underflow path, and a tile whose nodes all lie this far apart is
+# not stored at all.
+_KERNEL_CLIP = 40.0
+
+
+def _near_tiles(log_y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column blocks (r > b) of the tiles where B is not all ones.
+
+    The grid ascends, so the smallest log-distance between blocks r > b is
+    first(r) - last(b); a tile is near when that is below the clip.
+    """
+    import numpy as np
+    first = log_y[::_KERNEL_BLOCK]
+    last = log_y[_KERNEL_BLOCK - 1::_KERNEL_BLOCK]
+    if len(last) < len(first):
+        last = np.append(last, log_y[-1])
+    near = first[:, None] - last[None, :] < _KERNEL_CLIP
+    return np.nonzero(np.tril(near, -1))
 
 
 class _LevelKernel:
@@ -167,56 +192,72 @@ class _LevelKernel:
     weights scaled by their largest exponent (c_k below, c_k - log y_k above),
     every off-diagonal block of every row is one multiply-add product against
     B.  A row's own block, where the max changes sides, stays in log space.
+
+    On the double-exponential grid most blocks lie more than ``_KERNEL_CLIP``
+    apart, where B is exactly 1.0 and the product is the block's sum.  Only
+    the near tiles below the diagonal are stored; B is symmetric, so the
+    tile above the diagonal is the transpose of its mirror.
     """
 
     def __init__(self, log_y: np.ndarray) -> None:
         import numpy as np
         m = len(log_y)
         blocks = -(-m // _KERNEL_BLOCK)
-        # Padding nodes repeat the last node and always carry weight 0.
+        # Padding nodes repeat the last node and always carry weight 0; their
+        # rows are dropped from every contraction.
         padded = np.full(blocks * _KERNEL_BLOCK, log_y[-1])
         padded[:m] = log_y
-        # kernel[b, j, i] = B between row j and node b*_KERNEL_BLOCK + i.
-        kernel = padded.reshape(blocks, 1, _KERNEL_BLOCK) - log_y.reshape(1, m, 1)
-        np.abs(kernel, out=kernel)
-        # Beyond a distance of 40, 1 + e^(-d) rounds to 1 all the same;
-        # clipping spares exp its slow underflow path.
-        np.minimum(kernel, 40.0, out=kernel)
-        np.negative(kernel, out=kernel)
-        np.exp(kernel, out=kernel)
-        kernel += 1.0
-        np.reciprocal(kernel, out=kernel)
-        self.kernel = kernel
-        self.log_y = log_y
-        self.padded = padded
-        self.rows = np.arange(m)
-        self.row_block = self.rows // _KERNEL_BLOCK
-        self.below = np.arange(blocks)[:, None] < self.row_block[None, :]
-        self.diag_cols = (
-            self.row_block[:, None] * _KERNEL_BLOCK + np.arange(_KERNEL_BLOCK)
-        )
-        self.diag_log = -np.logaddexp(log_y[:, None], padded[self.diag_cols])
+        tiled = padded.reshape(blocks, _KERNEL_BLOCK)
+        self.rows, self.cols = _near_tiles(log_y)
+        # tiles[t, i, k] = B between node i of block rows[t] and node k of
+        # block cols[t]; rows[t] > cols[t], so the distance is not negative.
+        tiles = tiled[self.rows, :, None] - tiled[self.cols, None, :]
+        np.minimum(tiles, _KERNEL_CLIP, out=tiles)
+        np.negative(tiles, out=tiles)
+        np.exp(tiles, out=tiles)
+        tiles += 1.0
+        np.reciprocal(tiles, out=tiles)
+        self.tiles = tiles
+        self.m = m
+        self.tiled = tiled
+        row_block = np.arange(len(padded)) // _KERNEL_BLOCK
+        self.below = np.arange(blocks)[:, None] < row_block[None, :]
+        # diag_log[r, i, k] = -log(y_i + y_k) within block r.
+        self.diag_log = -np.logaddexp(tiled[:, :, None], tiled[:, None, :])
 
     def contract(self, log_c: np.ndarray) -> np.ndarray:
         """log of the sum over k of e^(log_c[k]) / (y_j + y_k), at every node j."""
         import numpy as np
-        weights = np.full(len(self.padded), -np.inf)
-        weights[: len(log_c)] = log_c
-        lower = weights.reshape(-1, _KERNEL_BLOCK)
-        upper = lower - self.padded.reshape(-1, _KERNEL_BLOCK)
-        lower_top = _finite_max(lower, axis=1)
+        blocks = len(self.tiled)
+        weights = np.full(self.tiled.shape, -np.inf)
+        weights.reshape(-1)[: len(log_c)] = log_c
+        upper = weights - self.tiled
+        lower_top = _finite_max(weights, axis=1)
         upper_top = _finite_max(upper, axis=1)
-        scaled = np.stack(
-            (np.exp(lower - lower_top), np.exp(upper - upper_top)), axis=2
-        )
-        sums = np.matmul(self.kernel, scaled)
+        lower = np.exp(weights - lower_top)
+        upper = np.exp(upper - upper_top)
+        # terms[b, j]: log of the sum over block b at row j, first as if every
+        # tile were far, where B is all ones and the product is a block sum.
         with np.errstate(divide="ignore"):
-            terms = np.log(np.where(self.below, sums[:, :, 0], sums[:, :, 1]))
-        terms += np.where(self.below, lower_top - self.log_y, upper_top)
-        terms[self.row_block, self.rows] = _logsumexp(
-            weights[self.diag_cols] + self.diag_log, axis=1
+            far_lower = np.log(lower.sum(axis=1, keepdims=True)) + lower_top
+            far_upper = np.log(upper.sum(axis=1, keepdims=True)) + upper_top
+            terms = np.where(
+                self.below, far_lower - self.tiled.reshape(-1), far_upper
+            )
+            near = np.matmul(self.tiles, lower[self.cols, :, None])[:, :, 0]
+            mirror = np.matmul(
+                self.tiles.transpose(0, 2, 1), upper[self.rows, :, None]
+            )[:, :, 0]
+            grid = terms.reshape(blocks, blocks, _KERNEL_BLOCK)
+            grid[self.cols, self.rows] = (
+                np.log(near) + lower_top[self.cols] - self.tiled[self.rows]
+            )
+            grid[self.rows, self.cols] = np.log(mirror) + upper_top[self.rows]
+        own = np.arange(blocks)
+        grid[own, own] = _logsumexp(
+            weights[:, None, :] + self.diag_log, axis=2
         )
-        return _logsumexp(terms, axis=0)
+        return _logsumexp(terms, axis=0)[: self.m]
 
 
 def _tree_log_weights(

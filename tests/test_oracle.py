@@ -102,6 +102,47 @@ class TestQuadTree:
         with pytest.raises(DomainError, match="value overflows float64"):
             quad_tree(f, assign, 0.5)
 
+    # (tree, point, x, value, level): quad_tree values recorded from the
+    # dense-kernel implementation, and the refinement level each converges
+    # at.  Any kernel must reproduce them to rounding.
+    PINNED = [
+        ("(1 (1) (1) (1))", (0.2, 0.15, 0.1, 0.18), 1.0, 1411.9501121125272, 5),
+        ("(1 (1 (1 (1))))", (0.2, 0.15, 0.1, 0.12), 0.7, 567.9774058184892, 5),
+        (
+            "(1 (2) (3 (1)))",
+            (0.21484645379642703, 0.21399366942445305, 0.223063366054236,
+             0.20364943904961633),
+            1.0,
+            613.8253439247509,
+            6,
+        ),
+        ("(1 (1) (1 (1)))", (0.1, 0.15, 0.1, 0.12), 2.0, 663.0971223073788, 5),
+        (
+            "(2 (1 (1)) (1) (3 (2)))",
+            (0.12, 0.1, 0.14, 0.09, 0.11, 0.13),
+            0.5,
+            84825.86191851224,
+            5,
+        ),
+    ]
+
+    @pytest.mark.parametrize("text, point, x, value, level", PINNED)
+    def test_pinned_reference_values(
+        self, monkeypatch, text, point, x, value, level
+    ):
+        levels = []
+        de_grid = oracle._de_grid
+
+        def recording_grid(k):
+            levels.append(k)
+            return de_grid(k)
+
+        monkeypatch.setattr(oracle, "_de_grid", recording_grid)
+        f, _ = parse_forest(text)
+        got = quad_tree(f, NumericAssignment(dict(enumerate(point))), x)
+        assert abs(got - value) <= 1e-14 * value
+        assert max(levels) == level
+
     def test_kernel_bound_is_a_convergence_failure(self):
         f, _ = parse_forest("(1 " * 50 + ")" * 50)
         assign = admissible_assignment(f, random.Random(0))
@@ -122,7 +163,7 @@ def dense_contraction(log_y, log_c):
 
 
 class TestLevelKernel:
-    @pytest.mark.parametrize("level", [3, 4, 5])
+    @pytest.mark.parametrize("level", [3, 4, 5, 6])
     def test_contraction_matches_dense_log_space(self, level):
         import numpy as np
 
@@ -145,6 +186,36 @@ class TestLevelKernel:
             assert got.shape == want.shape
             assert np.max(np.abs(np.expm1(got - want))) <= 1e-12
 
+    def test_tile_selection_is_exact(self):
+        clip = oracle._KERNEL_CLIP
+        # a distance at the clip already leaves B exactly 1.0 in float64
+        assert 1.0 / (1.0 + math.exp(-clip)) == 1.0
+        block = oracle._KERNEL_BLOCK
+        for level in range(oracle.MAX_REFINEMENTS + 1):
+            log_y, _ = oracle._de_grid(level)
+            m = len(log_y)
+            rows, cols = oracle._near_tiles(log_y)
+            stored = set(zip(rows.tolist(), cols.tolist()))
+            assert all(r > b for r, b in stored)
+            blocks = -(-m // block)
+            for r in range(blocks):
+                for b in range(r):
+                    gap = log_y[r * block] - log_y[min((b + 1) * block, m) - 1]
+                    assert ((r, b) in stored) == (gap < clip), (level, r, b)
+
+    def test_level_5_kernel_keeps_near_tiles_only(self):
+        import numpy as np
+
+        log_y, _ = oracle._de_grid(5)
+        kernel = oracle._LevelKernel(log_y)
+        m = len(log_y)
+        assert kernel.tiles.size <= 0.2 * m**2
+        # with the own blocks in log space and every index array
+        held = sum(
+            a.size for a in vars(kernel).values() if isinstance(a, np.ndarray)
+        )
+        assert held <= 0.25 * m**2
+
     def test_no_memory_kept_across_calls(self):
         f, _ = parse_forest("(1 (1) (1 (1)))")
         assign = NumericAssignment({0: 0.1, 1: 0.15, 2: 0.1, 3: 0.12})
@@ -159,7 +230,7 @@ class TestLevelKernel:
         finally:
             tracemalloc.stop()
             gc.enable()
-        # one level-5 kernel alone is over 10 MB
+        # one level-5 kernel alone is over 2 MB
         assert grown < 100_000, f"{grown} bytes still held after 10 calls"
 
 
