@@ -5,8 +5,8 @@ the pipeline, and print deterministic results on stdout; diagnostics go to
 stderr.  Exit codes: 0 success, 1 parse/input error, 2 locality or
 proper-decoration violation (and an argparse usage error, such as an option
 the command does not take), 3 failed numeric check.  A call imports only
-what its command runs: mpmath for a numeric rendering, the oracle and numpy
-for ``quad-check``.
+what its command runs: the oracle and numpy for ``quad-check``.  No command
+loads mpmath; a float rendering is computed with ints.
 """
 
 from __future__ import annotations

@@ -37,7 +37,7 @@ from .pairing import InnerProduct, LinearForm, inner
 from .projector import GermFraction, Nesting, ProjectionContext, ev0_tree
 from .series import ONE_PIPOLY, ZERO_PIPOLY, PiPoly, TruncSeries, h_series
 
-if TYPE_CHECKING:  # mpmath loads on the first numeric rendering
+if TYPE_CHECKING:  # mpmath loads only for ``numeric``; rendering needs none
     import mpmath
 
 # C(n/2 + n - 1, n - 1) terms at degree n: 77,520 at 14, 490,314 at 16.
@@ -75,8 +75,10 @@ class RegularizedIntegral:
 class RenormalizedValue:
     """Exact value in Q[pi^2] together with a high-precision numeric rendering.
 
-    ``numeric`` is evaluated at 30 decimal digits on first access, so a
-    value that is only printed exactly never loads mpmath.
+    ``numeric_str`` renders the exact value with ints alone
+    (:meth:`PiPoly.numeric_str`), so printing a value, exactly or as a
+    float, never loads mpmath.  ``numeric`` is the mpmath ``mpf`` at 30
+    decimal digits, evaluated on first access.
     """
 
     exact: PiPoly
@@ -90,9 +92,7 @@ class RenormalizedValue:
         return self.exact.evalf(30)
 
     def numeric_str(self, digits: int = 17) -> str:
-        import mpmath
-
-        return mpmath.nstr(self.numeric, digits)
+        return self.exact.numeric_str(digits)
 
 
 def regularize(forest: DecoratedForest, Q: InnerProduct) -> RegularizedIntegral:

@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING, Mapping, Optional, Sequence, Union
 
 from .errors import NotDivisible, VariableMismatch
 
-if TYPE_CHECKING:  # mpmath loads on the first numeric evaluation
+if TYPE_CHECKING:  # mpmath loads on the first evalf, never to render
     import mpmath
 
 Rational = Union[Fraction, int]
@@ -93,7 +93,11 @@ class PiPoly:
         return PiPoly(tuple(c * x for x in self.coeffs))
 
     def evalf(self, dps: int = 30) -> mpmath.mpf:
-        """Numeric value with pi^2 evaluated at the stated precision."""
+        """Numeric value with pi^2 evaluated at the stated precision.
+
+        An mpmath ``mpf`` for library users; rendering does not use it
+        (:meth:`numeric_str` is computed with ints and loads no mpmath).
+        """
         import mpmath
 
         with mpmath.workdps(dps):
@@ -119,6 +123,45 @@ class PiPoly:
                 parts.append("+ " + term)
         return " ".join(parts)
 
+    def numeric_str(self, digits: int = 17) -> str:
+        """The value to ``digits`` significant digits, computed with ints.
+
+        The layout is that of ``mpmath.nstr(self.evalf(30), digits)``:
+        rounded half up on the absolute value, fixed notation when
+        min(-(digits // 3), -5) < exponent < digits and ``e+N``/``e-N``
+        otherwise, trailing zeros stripped down to ``.0``.  pi is bounded by
+        ints, at twice the precision until both ends of the value's interval
+        round alike; a rational is rounded exactly.  The digits are thus
+        correctly rounded, and they are mpmath's unless its 30-digit binary
+        evaluation lands across a rounding boundary: under cancellation
+        beyond 30 digits, or at a decimal tie that is no binary fraction
+        (3/20 to 1 digit is 0.2 here, 0.1 in mpmath).
+        """
+        if digits < 1:
+            raise ValueError(f"digits must be at least 1, not {digits}")
+        if self.is_zero():
+            return "0.0"
+        den = math.lcm(*(c.denominator for c in self.coeffs))
+        nums = [c.numerator * (den // c.denominator) for c in self.coeffs]
+        top = len(nums) - 1
+        bits = 64 + 4 * digits  # 4 > log2(10) bits a digit: one pass, mostly
+        while True:  # a rational has low == high and ends in one pass
+            lo, hi = _pi_bounds(bits)
+            low = high = 0
+            for k, a in enumerate(nums):
+                if a:
+                    shift = 2 * bits * (top - k)
+                    low += a * (lo if a > 0 else hi) ** (2 * k) << shift
+                    high += a * (hi if a > 0 else lo) ** (2 * k) << shift
+            if low > 0 or high < 0:
+                sign = "" if low > 0 else "-"
+                low, high = sorted((abs(low), abs(high)))
+                q = den << 2 * bits * top
+                rounded = _round_sig(low, q, digits)
+                if rounded == _round_sig(high, q, digits):
+                    return _layout(sign, *rounded, digits)
+            bits *= 2
+
 
 def _render_pi_term(c: Fraction, power: int) -> str:
     """One monomial c * pi^(2*power) in the canonical output syntax."""
@@ -131,6 +174,7 @@ def _render_pi_term(c: Fraction, power: int) -> str:
 
 # str() takes at most sys.get_int_max_str_digits() digits, never below 640
 _PIECE = 10**600
+_LOG10_2 = math.log10(2)
 
 
 def _digits(i: int) -> str:
@@ -141,6 +185,63 @@ def _digits(i: int) -> str:
         i, low = divmod(i, _PIECE)
         pieces.append(f"{low:0600d}")
     return sign + str(i) + "".join(reversed(pieces))
+
+
+@lru_cache(maxsize=16)
+def _pi_bounds(bits: int) -> tuple[int, int]:
+    """Ints lo < hi with lo <= pi * 2**bits <= hi, by Machin's formula
+    pi = 16 atan(1/5) - 4 atan(1/239) in fixed point with 32 guard bits."""
+    one = 1 << (bits + 32)
+    total = err = 0
+    for weight, x in ((16, 5), (-4, 239)):
+        # each floored term errs by less than 1, and so does the tail
+        power, k, s = one // x, 0, 0
+        while power:
+            s += -(power // (2 * k + 1)) if k % 2 else power // (2 * k + 1)
+            power //= x * x
+            k += 1
+        total += weight * s
+        err += abs(weight) * (k + 1)
+    return (total - err) >> 32, ((total + err) >> 32) + 1
+
+
+def _round_sig(p: int, q: int, digits: int) -> tuple[int, int]:
+    """p/q > 0 rounded half up to ``digits`` significant digits: the digit
+    int n and decimal exponent e with p/q ~ n * 10**(e - digits + 1)."""
+    e = math.floor((p.bit_length() - q.bit_length()) * _LOG10_2)
+    while True:
+        s = digits - 1 - e
+        num, den = (p * 10**s, q) if s >= 0 else (p, q * 10**-s)
+        n, r = divmod(num, den)
+        if n >= 10**digits:
+            e += 1
+        elif n < 10 ** (digits - 1):
+            e -= 1
+        else:
+            break
+    if 2 * r >= den:
+        n += 1
+        if n == 10**digits:
+            n, e = n // 10, e + 1
+    return n, e
+
+
+def _layout(sign: str, n: int, e: int, digits: int) -> str:
+    """The digit int n at decimal exponent e as mpmath's ``to_str`` lays it
+    out."""
+    text = _digits(n)
+    if min(-(digits // 3), -5) < e < digits:
+        if e < 0:
+            text = "0" * -e + text
+        split, e = max(e, 0) + 1, 0
+    else:
+        split = 1
+    text = (text[:split] + "." + text[split:]).rstrip("0")
+    if text.endswith("."):
+        text += "0"
+    if e == 0:
+        return sign + text
+    return f"{sign}{text}e{e:+d}"
 
 
 ZERO_PIPOLY = PiPoly(())

@@ -93,8 +93,11 @@ class TestCommandLoads:
     def test_exact_commands_load_nothing_heavy(self, files, argv):
         assert loaded_by(argv, files) == set()
 
-    def test_numeric_rendering_loads_only_mpmath(self, files):
-        assert loaded_by(["renorm", "a.forest"], files) == {"mpmath"}
+    def test_float_rendering_loads_nothing_heavy(self, files):
+        # the float rendering is rounded in ints, so not even mpmath loads
+        for fmt in ("both", "float"):
+            argv = ["renorm", "a.forest", "--format", fmt]
+            assert loaded_by(argv, files) == set()
 
     def test_quad_check_loads_numpy_and_oracle(self, files):
         loaded = loaded_by(["quad-check", "l2.forest"], files)

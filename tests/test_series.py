@@ -1,13 +1,23 @@
+import random
 from fractions import Fraction
 
 import hypothesis
 import hypothesis.strategies as strat
 import pytest
 
-from forestren import NotDivisible, PiPoly, TruncSeries, VariableMismatch, h_series
+from forestren import (
+    NotDivisible,
+    PiPoly,
+    TruncSeries,
+    VariableMismatch,
+    h_series,
+    parse_forest,
+    renormalize,
+)
 from forestren.series import (
     ONE_PIPOLY,
     ZERO_PIPOLY,
+    _pi_bounds,
     sinc_coeffs,
     sinc_inverse_coeffs,
 )
@@ -125,6 +135,120 @@ class TestPiPoly:
         v = PiPoly.pi2(1, Fraction(1, 4)).evalf()
         with mpmath.workdps(30):
             assert abs(v - mpmath.pi**2 / 4) < mpmath.mpf("1e-25")
+
+
+# ---------------------------------------------------------------------------
+# PiPoly.numeric_str, the int renderer, against mpmath.nstr(evalf(30), d).
+# The renderer rounds the exact value correctly.  mpmath rounds its 30-digit
+# binary evaluation, so the two can differ only where that evaluation falls
+# on the other side of a rounding boundary: cancellation beyond 30 digits, or
+# a rational that is a decimal tie but no binary fraction (3/20 at 1 digit).
+# No renormalize value hits either: each is a rational times one power of
+# pi, and its only pure rationals are 0 and 1.
+# ---------------------------------------------------------------------------
+
+RENDER_DIGITS = (1, 3, 5, 17)
+
+
+def reference_str(p, digits, dps=30):
+    import mpmath
+
+    return mpmath.nstr(p.evalf(dps), digits)
+
+
+def random_coeff(rng, sign):
+    """A rational of magnitude about 10**-300 to 10**300."""
+    num = rng.randint(1, 10 ** rng.randint(1, 300))
+    return Fraction(sign * num, rng.randint(1, 10 ** rng.randint(0, 300)))
+
+
+class TestNumericStr:
+    def test_single_powers_match_mpmath(self):
+        rng = random.Random(21)
+        for _ in range(600):
+            power = rng.randint(0, 12)
+            p = PiPoly.pi2(power, random_coeff(rng, rng.choice((1, -1))))
+            for d in RENDER_DIGITS:
+                assert p.numeric_str(d) == reference_str(p, d), (p, d)
+
+    def test_sums_without_cancellation_match_mpmath(self):
+        rng = random.Random(22)
+        for _ in range(300):
+            sign = rng.choice((1, -1))
+            coeffs = [
+                random_coeff(rng, sign) if rng.random() < 0.6 else 0
+                for _ in range(rng.randint(1, 12))
+            ] + [random_coeff(rng, sign)]
+            p = PiPoly.from_coeffs(coeffs)
+            for d in RENDER_DIGITS:
+                assert p.numeric_str(d) == reference_str(p, d), (p, d)
+
+    def test_decimal_ties_round_half_up(self):
+        # t / 2**j is a binary fraction that mpmath holds exactly; its
+        # decimal digits t * 5**j end in 5, so one digit fewer is a tie
+        rng = random.Random(23)
+        for _ in range(500):
+            j = rng.randint(0, 12)
+            t = rng.randrange(11, 10**6, 2) * (5 if j == 0 else 1)
+            v = Fraction(rng.choice((1, -1)) * t, 2**j)
+            d = len(str(t * 5**j)) - 1
+            out = PiPoly.const(v).numeric_str(d)
+            assert out == reference_str(PiPoly.const(v), d), (v, d)
+            assert abs(Fraction(out)) > abs(v)  # away from zero
+
+    @pytest.mark.parametrize(
+        "value, digits, rendered",
+        [
+            (Fraction(-297605), 5, "-2.9761e+5"),
+            (Fraction(-59521, 2), 5, "-29761.0"),
+            (Fraction(1, 8), 2, "0.13"),
+            (Fraction(5, 2), 1, "3.0"),
+            (Fraction(99999, 10**9), 5, "9.9999e-5"),
+            (Fraction(1), 17, "1.0"),
+            # 0.15 exactly; mpmath's binary 3/20 lies below and prints 0.1
+            (Fraction(3, 20), 1, "0.2"),
+        ],
+    )
+    def test_rational_goldens(self, value, digits, rendered):
+        assert PiPoly.const(value).numeric_str(digits) == rendered
+
+    def test_cancellation_is_rounded_correctly(self):
+        # pi^2 minus its 44-digit truncation is 7.24e-45; 30 digits give
+        # -1.58e-30, and the renderer agrees with a 200-digit evaluation
+        head = Fraction(98696044010893586188344909998761511353136994, 10**43)
+        for sign in (1, -1):
+            p = PiPoly.from_coeffs([-sign * head, sign])
+            for d in RENDER_DIGITS:
+                assert p.numeric_str(d) == reference_str(p, d, dps=200)
+
+    @pytest.mark.parametrize("bits", [64, 132, 1000, 5000])
+    def test_pi_bounds_enclose_pi(self, bits):
+        import mpmath
+
+        lo, hi = _pi_bounds(bits)
+        assert hi - lo <= 3
+        with mpmath.workdps(bits // 3 + 30):
+            assert lo < mpmath.pi * mpmath.mpf(2) ** bits < hi
+
+    def test_more_digits_than_str_takes(self):
+        p = PiPoly.pi2(1)
+        assert p.numeric_str(5000) == reference_str(p, 5000, dps=5050)
+
+    @pytest.mark.parametrize("digits", RENDER_DIGITS)
+    def test_zero(self, digits):
+        assert ZERO_PIPOLY.numeric_str(digits) == "0.0"
+
+    @pytest.mark.parametrize("digits", [0, -1])
+    def test_digits_below_one_rejected(self, digits):
+        with pytest.raises(ValueError, match="digits must be at least 1"):
+            PiPoly.pi2(1, Fraction(1, 4)).numeric_str(digits)
+
+    def test_pi_to_the_400(self):
+        f, Q = parse_forest(" ".join(["(1 (1))"] * 200))
+        exact = renormalize(f, Q).exact
+        assert exact == PiPoly.pi2(200, Fraction(1, 4**200))
+        assert exact.numeric_str() == "2.8051159141721427e+78"
+        assert exact.numeric_str() == reference_str(exact, 17)
 
 
 # ---------------------------------------------------------------------------
