@@ -14,7 +14,8 @@ the main code:
   rescaled kernel is exactly 1.0, so a far block contracts as its sum;
 * a literal subset-sum re-derivation of the renormalized value, expanding
   the cosecant product into its 2^n Laurent terms and projecting each term
-  separately with a randomized telescoping order.
+  separately with a randomized telescoping order, all through one
+  projection context.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from .forest import (
 )
 from .pairing import InnerProduct, LinearForm, basis
 from .projector import GermFraction, ProjectionContext, ev0_piplus
-from .series import PiPoly, TruncSeries, ZERO_PIPOLY, h_series
+from .series import PiPoly, TruncSeries, h_series
 
 if TYPE_CHECKING:  # numpy loads on the first quadrature call, not on import
     import numpy as np
@@ -418,31 +419,33 @@ def renorm_subset_oracle(
     The cosecant product is expanded as the sum over subsets S of vertices
     of (prod_{v in S} 1/z_v) * (prod_{v not in S} h(z_v)); every term is
     projected on its own, with a randomized telescoping order per term, and
-    the results are summed.  Each numerator is built up to the forest
-    degree, which bounds every pole count, so it holds every Taylor term
-    that can reach the value at zero.  Must equal the single-fraction
-    pipeline exactly.
+    the results are summed.  Must equal the single-fraction pipeline
+    exactly.
+
+    One :class:`ProjectionContext` serves every subset, so the Gram matrix
+    is checked once and each Gram solve is shared; its ``order_rng`` is
+    reseeded per subset from the seed and the subset's bit mask.  A
+    depth-first walk drops one pole at a time, from all vertices down, and
+    builds each numerator from its parent's by one product with h, kept to
+    the pole count: only Taylor terms of that degree can reach the value
+    at zero.  At most n + 1 numerators are alive at once.
     """
-    deg = degree(forest)
-    if deg > 12:
+    if degree(forest) > 12:
         raise ValueError("subset oracle is limited to forests of degree <= 12")
     variables = vertex_ids(forest)
-    gram_matrix = gram(forest, Q)
-    total = ZERO_PIPOLY
     n = len(variables)
-    for mask in range(2 ** n):
-        pole_set = frozenset(
-            variables[k] for k in range(n) if mask & (1 << k)
-        )
-        numerator = TruncSeries.one(variables, deg)
-        for k in range(n):
-            if mask & (1 << k):
-                continue
-            numerator = numerator * h_series(variables[k], deg, variables)
-        ctx = ProjectionContext(
-            gram_matrix, order_rng=random.Random(seed * 1000003 + mask)
-        )
-        total = total + ev0_piplus(
-            GermFraction(numerator, pole_set), ctx
-        )
-    return total
+    ctx = ProjectionContext(gram(forest, Q))
+
+    def walk(mask: int, numerator: TruncSeries, start: int) -> PiPoly:
+        """The subset mask's term plus those of the subsets the walk
+        reaches from it by dropping poles at indices ``start`` and up."""
+        poles = frozenset(variables[k] for k in range(n) if mask >> k & 1)
+        ctx.order_rng = random.Random(seed * 1000003 + mask)
+        value = ev0_piplus(GermFraction(numerator, poles), ctx)
+        for k in range(start, n):
+            # to the child's pole count; ev0_piplus cuts a degree 1 to 0
+            h = h_series(variables[k], max(len(poles) - 1, 1), variables)
+            value = value + walk(mask & ~(1 << k), numerator * h, k + 1)
+        return value
+
+    return walk((1 << n) - 1, TruncSeries.one(variables, n), 0)

@@ -13,7 +13,10 @@ difference vanishes on {L_v = 0}, so it divides exactly by z_v, yielding a
 fraction with one pole fewer; terms sharing the removed pole are summed
 before recursing.  The base case (no poles) returns the numerator itself;
 the value at zero is the constant term of that series-valued projection.
-This telescoping recursion, with its Gram solves, is the reference.
+This telescoping recursion, with its Gram solves, is the reference.  Its
+sweep is incremental: a step changes one slot's image, so only the
+numerator terms that use that slot are substituted again, from kept powers
+of the slot images, and their new minus old images make the difference.
 
 The fast path :func:`ev0_piplus_direct` computes only the value at zero,
 monomial by monomial, in region coordinates: for a pole p, y_p sums the
@@ -35,6 +38,7 @@ from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Optional
 from .errors import NotProperlyDecorated, SingularGram, VariableMismatch
 from .pairing import GramMatrix
 from .series import (
+    LinearImages,
     PiPoly,
     TruncSeries,
     VertexId,
@@ -123,6 +127,10 @@ class ProjectionContext:
 
     ``order_rng`` randomizes the telescoping order when set (the projected
     value is provably order-independent; randomized runs exist to test that).
+    It is the one field that changes: the subset oracle shares one context
+    across all its subsets and reassigns ``order_rng`` per subset mask.
+    ``_coeff_cache`` keeps the projection coefficients of each (pole set,
+    slot) pair, so each Gram solve runs once per context, and
     ``_monomial_memo`` keeps the states that :func:`ev0_piplus_direct`
     visits over the :class:`Nesting` of ``gram``.  Caches are only ever
     added to, so concurrent readers are safe.
@@ -174,36 +182,103 @@ def _grouped_remainders(
     projection annihilates) and re-adds one correction (w, v, a_wv) per
     step, ordered by (w, v), for each slot w the numerator uses; each
     difference is divided exactly by the removed pole variable.
+
+    The sweep is incremental.  A step changes slot w's image only, so it
+    recomputes only the terms with a positive exponent of z_w, through
+    :meth:`LinearImages.image`, whose kept powers of every other slot's
+    image stay valid.  The difference of the substituted numerator across
+    the step is the sum of those terms' new minus old images: every other
+    term cancels.  Slot w's image is held over the lcm D_w of the
+    denominators of its corrections, fixed for the sweep, so a term's image
+    keeps the denominator prod_w D_w^e_w through every step, and the
+    differences are summed as ints over one common denominator.
     """
-    # Slot images, starting at L'_w = z_w - sum_v a_wv z_v.
-    images: dict[VertexId, dict[VertexId, Fraction]] = {}
+    variables = num.variables
+    slot = {v: k for k, v in enumerate(variables)}
+    images = LinearImages(len(variables), max(map(sum, num.terms), default=0))
+    # Slot images, starting at L'_w = z_w - sum_v a_wv z_v, as int forms
+    # over D_w.
+    forms: dict[int, dict[int, int]] = {}
     steps: list[tuple[VertexId, VertexId, Fraction]] = []
     for w in sorted(num.occurring()):
         coeffs = project_coeffs(ctx, poles, w)
-        img = {w: Fraction(1)}
-        for v in sorted(poles):
-            c = coeffs[v]
-            if c != 0:
-                img[v] = img.get(v, Fraction(0)) - c
-                steps.append((w, v, c))
-        images[w] = {u: c for u, c in img.items() if c != 0}
+        moves = [(v, coeffs[v]) for v in sorted(poles) if coeffs[v] != 0]
+        den = lcm(*(c.denominator for _, c in moves))
+        form = forms[slot[w]] = {slot[w]: den}
+        for v, c in moves:
+            k = slot[v]
+            form[k] = form.get(k, 0) - c.numerator * (den // c.denominator)
+            steps.append((w, v, c))
+        images.set(slot[w], form, den)
     if ctx.order_rng is not None:
         ctx.order_rng.shuffle(steps)
-    prev = num.subst_linear(images)  # g(L'): purely polar, discarded
+    terms = list(num.terms)
+    dens = [images.den(exps) for exps in terms]
+    common = lcm(*(
+        d * lcm(*(c.denominator for c in coef.coeffs))
+        for d, coef in zip(dens, num.terms.values())
+    ))
+    # each term's Pi^j coefficients as ints over ``common``
+    scales = [
+        [c.numerator * (common // d // c.denominator) for c in coef.coeffs]
+        for d, coef in zip(dens, num.terms.values())
+    ]
+    users: list[list[int]] = [[] for _ in variables]  # terms by slot used
+    current = []  # each term's image at the current step
+    for i, exps in enumerate(terms):
+        current.append(images.image(exps))
+        for k, e in enumerate(exps):
+            if e:
+                users[k].append(i)
+    powers = max(map(len, scales), default=0)
     grouped: dict[VertexId, TruncSeries] = {}
     for w, v, c in steps:
-        img = dict(images[w])
-        img[v] = img.get(v, Fraction(0)) + c
-        images[w] = {u: cc for u, cc in img.items() if cc != 0}
-        cur = num.subst_linear(images)
-        diff = cur - prev
-        prev = cur
+        k = slot[w]
+        form, den = forms[k], images.dens[k]
+        form[slot[v]] = form.get(slot[v], 0) + c.numerator * (
+            den // c.denominator
+        )
+        images.set(k, form, den)
+        sums: list[dict[int, int]] = [{} for _ in range(powers)]
+        for i in users[k]:
+            new = images.image(terms[i])
+            delta = dict(new)
+            for key, x in current[i].items():
+                delta[key] = delta.get(key, 0) - x
+            current[i] = new
+            for out, m in zip(sums, scales[i]):
+                if m:
+                    for key, x in delta.items():
+                        if x:
+                            out[key] = out.get(key, 0) + m * x
+        diff = _series_over(sums, common, images, num)
         if diff.is_zero():
             continue
         h = diff.div_by_var(v)
         acc = grouped.get(v)
         grouped[v] = h if acc is None else acc + h
     return grouped
+
+
+def _series_over(
+    sums: list[dict[int, int]],
+    common: int,
+    images: LinearImages,
+    num: TruncSeries,
+) -> TruncSeries:
+    """The series in the variables and truncation of ``num`` whose Pi^j
+    coefficient at each packed monomial of ``images`` is ``sums[j]`` over
+    ``common``."""
+    coeffs: dict[int, list[Fraction]] = {}
+    for j, acc in enumerate(sums):
+        for key, x in acc.items():
+            if x:
+                row = coeffs.setdefault(key, [])
+                row += [Fraction(0)] * (j - len(row))
+                row.append(Fraction(x, common))
+    return TruncSeries(num.variables, num.trunc, {
+        images.exps(key): PiPoly(tuple(row)) for key, row in coeffs.items()
+    })
 
 
 def ev0_piplus(frac: GermFraction, ctx: ProjectionContext) -> PiPoly:

@@ -385,67 +385,34 @@ class TruncSeries:
         map from variable id to rational coefficient; absent variables are
         left alone.  Truncation is preserved: a linear substitution maps a
         degree-d monomial to a homogeneous degree-d polynomial (or kills it).
+        Each term goes through :meth:`LinearImages.image`, the one
+        substitution routine, and the images are summed.
         """
         pos = {v: k for k, v in enumerate(self.variables)}
-        n = len(self.variables)
         for w, image in assignment.items():
             if w not in pos:
                 raise VariableMismatch(f"substituted variable {w} not in series")
             for u in image:
                 if u not in pos:
                     raise VariableMismatch(f"image variable {u} not in series")
-
-        base: dict[VertexId, dict[ExpVec, Fraction]] = {}
+        images = LinearImages(
+            len(self.variables), max(map(sum, self.terms), default=0)
+        )
         for w, image in assignment.items():
-            poly: dict[ExpVec, Fraction] = {}
-            for u, c in image.items():
-                c = Fraction(c)
-                if c == 0:
-                    continue
-                ev = [0] * n
-                ev[pos[u]] = 1
-                key = tuple(ev)
-                poly[key] = poly.get(key, Fraction(0)) + c
-            base[w] = {ev: c for ev, c in poly.items() if c != 0}
-
-        powers: dict[VertexId, list[dict[ExpVec, Fraction]]] = {
-            w: [{(0,) * n: Fraction(1)}, p] for w, p in base.items()
-        }
-
-        def power_of(w: VertexId, k: int) -> dict[ExpVec, Fraction]:
-            plist = powers[w]
-            while len(plist) <= k:
-                plist.append(
-                    _frac_poly_mul(plist[-1], plist[1], self.trunc)
-                )
-            return plist[k]
-
+            coeffs = {pos[u]: Fraction(c) for u, c in image.items()}
+            den = math.lcm(*(c.denominator for c in coeffs.values()))
+            images.set(pos[w], {
+                k: c.numerator * (den // c.denominator)
+                for k, c in coeffs.items()
+            }, den)
         out: dict[ExpVec, PiPoly] = {}
         for ev, coef in self.terms.items():
-            # Fixed (unsubstituted) slots contribute a plain monomial shift.
-            shift = [0] * n
-            prod: dict[ExpVec, Fraction] = {(0,) * n: Fraction(1)}
-            for k, e in enumerate(ev):
-                if e == 0:
-                    continue
-                w = self.variables[k]
-                if w in base:
-                    prod = _frac_poly_mul(prod, power_of(w, e), self.trunc)
-                    if not prod:
-                        break
-                else:
-                    shift[k] = e
-            if not prod:
-                continue
-            shift_t = tuple(shift)
-            shift_deg = sum(shift_t)
-            for pev, pc in prod.items():
-                if sum(pev) + shift_deg > self.trunc:
-                    continue
-                key = tuple(a + b for a, b in zip(pev, shift_t))
-                piece = coef.scaled(pc)
-                prev = out.get(key)
-                out[key] = piece if prev is None else prev + piece
+            den = images.den(ev)
+            for key, x in images.image(ev).items():
+                exps = images.exps(key)
+                piece = coef.scaled(Fraction(x, den))
+                prev = out.get(exps)
+                out[exps] = piece if prev is None else prev + piece
         return TruncSeries.make(self.variables, self.trunc, out)
 
     def div_by_var(self, v: VertexId) -> "TruncSeries":
@@ -498,23 +465,67 @@ class TruncSeries:
         return " + ".join(parts)
 
 
-def _frac_poly_mul(
-    a: dict[ExpVec, Fraction], b: dict[ExpVec, Fraction], trunc: int
-) -> dict[ExpVec, Fraction]:
-    out: dict[ExpVec, Fraction] = {}
-    for ev1, c1 in a.items():
-        d1 = sum(ev1)
-        for ev2, c2 in b.items():
-            if d1 + sum(ev2) > trunc:
-                continue
-            key = tuple(x + y for x, y in zip(ev1, ev2))
-            prev = out.get(key)
-            val = c1 * c2 if prev is None else prev + c1 * c2
-            if val == 0:
-                out.pop(key, None)
-            else:
-                out[key] = val
-    return out
+class LinearImages:
+    """Linear images of the n slots of a series, substituted one monomial at
+    a time.
+
+    Slot k's image is sum_j form[j] z_j / ``dens[k]`` with int coefficients;
+    every slot starts as its own variable z_k.  A monomial is one int, slot
+    k's exponent in the ``width`` bits from k * ``width`` up, so multiplying
+    monomials adds their keys.  A homogeneous linear image keeps every
+    exponent of a monomial's image at most the monomial's degree, which the
+    ``degree`` given at construction bounds and ``width`` holds.  The powers
+    of each slot's image are kept, and extended as monomials need them, until
+    :meth:`set` replaces that image.
+    """
+
+    def __init__(self, n: int, degree: int) -> None:
+        self.width = max(degree, 1).bit_length()
+        self.unit = [1 << k * self.width for k in range(n)]
+        self.dens = [1] * n
+        self.powers = [[{0: 1}, {u: 1}] for u in self.unit]
+
+    def set(self, k: int, form: Mapping[int, int], den: int) -> None:
+        """Make slot k's image sum_j form[j] z_j / den."""
+        self.dens[k] = den
+        unit = self.unit
+        self.powers[k] = [{0: 1}, {unit[j]: c for j, c in form.items() if c}]
+
+    def image(self, exps: ExpVec) -> dict[int, int]:
+        """The image of the monomial prod_k z_k^exps[k], as int coefficients
+        over :meth:`den` by packed monomial; empty when it vanishes.  The
+        result may be a kept power: callers must not change it."""
+        prod = None
+        for k, e in enumerate(exps):
+            if e:
+                plist = self.powers[k]
+                while len(plist) <= e:
+                    plist.append(_poly_mul(plist[-1], plist[1]))
+                prod = plist[e] if prod is None else _poly_mul(prod, plist[e])
+                if not prod:
+                    break
+        return {0: 1} if prod is None else prod
+
+    def den(self, exps: ExpVec) -> int:
+        """The denominator of :meth:`image`: prod_k dens[k]^exps[k]."""
+        return math.prod(d**e for d, e in zip(self.dens, exps) if e)
+
+    def exps(self, key: int) -> ExpVec:
+        """The exponent vector of a packed monomial."""
+        width = self.width
+        mask = (1 << width) - 1
+        return tuple(key >> k * width & mask for k in range(len(self.unit)))
+
+
+def _poly_mul(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
+    """The product of two polynomials keyed by packed monomial."""
+    out: dict[int, int] = {}
+    get = out.get
+    for k1, c1 in a.items():
+        for k2, c2 in b.items():
+            k = k1 + k2
+            out[k] = get(k, 0) + c1 * c2
+    return {k: c for k, c in out.items() if c}
 
 
 @lru_cache(maxsize=None)

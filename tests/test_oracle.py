@@ -15,13 +15,20 @@ from forestren import (
     ConvergenceFailure,
     DomainError,
     EMPTY_FOREST,
+    GermFraction,
+    GramMatrix,
     IndexOutOfRange,
     InnerProduct,
     NumericAssignment,
     PiPoly,
+    ProjectionContext,
+    TruncSeries,
     admissible_assignment,
     basis,
     closed_form_value,
+    ev0_piplus,
+    gram,
+    h_series,
     parse_forest,
     quad_single,
     quad_tree,
@@ -29,7 +36,7 @@ from forestren import (
     renormalize,
 )
 from forestren import oracle
-from forestren.forest import from_shape, subtree_sums
+from forestren.forest import from_shape, subtree_sums, vertex_ids
 
 import helpers
 
@@ -305,6 +312,65 @@ class TestSubsetOracle:
         f, Q = parse_forest("(1 (2) (3 (1)))")
         vals = {renorm_subset_oracle(f, Q, seed=s) for s in (0, 1, 99)}
         assert len(vals) == 1
+
+    FORESTS = (
+        "(1 (2 (3)))",
+        "(1 (2) (3 (1)))",
+        "(3/2 (1)) (2 (1/2))",
+        "(1) (2 (3)) (5/2)",
+        "(2 (1) (1) (3/2 (1)))",
+    )
+
+    @staticmethod
+    def per_mask_oracle(f, Q, seed):
+        """The subset oracle with a projection context of its own per mask
+        and each numerator built from 1 to the forest degree."""
+        variables = vertex_ids(f)
+        n = len(variables)
+        g = gram(f, Q)
+        total = PiPoly.const(0)
+        for mask in range(2**n):
+            poles = frozenset(variables[k] for k in range(n) if mask >> k & 1)
+            numerator = TruncSeries.one(variables, n)
+            for k in range(n):
+                if not mask >> k & 1:
+                    numerator = numerator * h_series(variables[k], n, variables)
+            ctx = ProjectionContext(
+                g, order_rng=random.Random(seed * 1000003 + mask)
+            )
+            total = total + ev0_piplus(GermFraction(numerator, poles), ctx)
+        return total
+
+    def test_matches_one_context_per_mask(self):
+        for text in self.FORESTS:
+            f, Q = parse_forest(text)
+            for seed in range(4):
+                want = self.per_mask_oracle(f, Q, seed)
+                assert renorm_subset_oracle(f, Q, seed=seed) == want
+
+    def test_one_context_and_one_solve_per_pair(self, monkeypatch):
+        contexts, solves = [], []
+        post_init, solve = ProjectionContext.__post_init__, GramMatrix.solve
+
+        def spy_post_init(ctx):
+            contexts.append(ctx)
+            post_init(ctx)
+
+        def spy_solve(*args):
+            solves.append(args)
+            return solve(*args)
+
+        monkeypatch.setattr(ProjectionContext, "__post_init__", spy_post_init)
+        monkeypatch.setattr(GramMatrix, "solve", spy_solve)
+        for text in self.FORESTS:
+            contexts.clear()
+            solves.clear()
+            f, Q = parse_forest(text)
+            renorm_subset_oracle(f, Q)
+            [ctx] = contexts
+            # one cache entry per solved (pole set, slot) pair
+            assert solves
+            assert len(solves) == len(ctx._coeff_cache)
 
     def test_degree_cap(self):
         shape = helpers.ladder_shape(13)

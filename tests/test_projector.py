@@ -234,6 +234,109 @@ class TestOrderInvariance:
                 assert ev0_piplus(frac, shuffled) == base
 
 
+def literal_sweep(num, poles, ctx):
+    """The telescoping sweep in its literal form: each step substitutes the
+    whole numerator and subtracts the previous substitution."""
+    images = {}
+    steps = []
+    for w in sorted(num.occurring()):
+        coeffs = project_coeffs(ctx, poles, w)
+        img = {w: Fraction(1)}
+        for v in sorted(poles):
+            c = coeffs[v]
+            if c != 0:
+                img[v] = img.get(v, Fraction(0)) - c
+                steps.append((w, v, c))
+        images[w] = {u: c for u, c in img.items() if c != 0}
+    if ctx.order_rng is not None:
+        ctx.order_rng.shuffle(steps)
+    prev = num.subst_linear(images)
+    grouped = {}
+    for w, v, c in steps:
+        img = dict(images[w])
+        img[v] = img.get(v, Fraction(0)) + c
+        images[w] = {u: cc for u, cc in img.items() if cc != 0}
+        cur = num.subst_linear(images)
+        diff = cur - prev
+        prev = cur
+        if diff.is_zero():
+            continue
+        h = diff.div_by_var(v)
+        acc = grouped.get(v)
+        grouped[v] = h if acc is None else acc + h
+    return grouped
+
+
+def literal_piplus(num, poles, ctx):
+    """piplus_expand's recursion over :func:`literal_sweep`."""
+    if not poles:
+        return num
+    total = TruncSeries.zero(num.variables, num.trunc - len(poles))
+    if num.is_zero():
+        return total
+    grouped = literal_sweep(num, poles, ctx)
+    for v in sorted(grouped):
+        total = total + literal_piplus(grouped[v], poles - {v}, ctx)
+    return total
+
+
+def sweep_fraction(rng):
+    """A random forest context and a fraction with 2-5 poles whose
+    numerator truncates 0-2 degrees above the pole count."""
+    f, Q = helpers.random_forest(rng, 6, min_vertices=2, allow_fractions=True)
+    verts = vertex_ids(f)
+    k = rng.randint(2, min(5, len(verts)))
+    poles = frozenset(rng.sample(list(verts), k))
+    trunc = k + rng.randint(0, 2)
+    terms = {}
+    for _ in range(rng.randint(1, 12)):
+        ev = [0] * len(verts)
+        for _ in range(rng.randint(0, trunc)):
+            ev[rng.randrange(len(verts))] += 1
+        c = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+        terms[tuple(ev)] = PiPoly.pi2(rng.randint(0, 2), c) + PiPoly.const(1)
+    num = TruncSeries.make(verts, trunc, terms)
+    return gram(f, Q), GermFraction(num, poles)
+
+
+class TestIncrementalSweep:
+    """The incremental sweep against the literal one, step order for step
+    order: the same grouped remainders and the same projected series."""
+
+    ORDERS = (None, 0, 1, 2, 3, 4)  # the fixed order, then five shuffled
+
+    @staticmethod
+    def context(g, seed):
+        order = None if seed is None else random.Random(seed)
+        return ProjectionContext(g, order_rng=order)
+
+    def test_grouped_remainders_match_literal_form(self):
+        rng = random.Random(22)
+        for _ in range(40):
+            g, frac = sweep_fraction(rng)
+            num, poles = frac.numerator, frac.poles
+            for seed in self.ORDERS:
+                want = literal_sweep(num, poles, self.context(g, seed))
+                got = projector._grouped_remainders(
+                    num, poles, self.context(g, seed)
+                )
+                assert list(got.items()) == list(want.items())
+
+    def test_piplus_expand_matches_literal_form(self):
+        rng = random.Random(23)
+        for _ in range(25):
+            g, frac = sweep_fraction(rng)
+            for seed in self.ORDERS:
+                want = literal_piplus(
+                    frac.numerator, frac.poles, self.context(g, seed)
+                )
+                assert piplus_expand(frac, self.context(g, seed)) == want
+
+    def test_sweep_reads_nothing_of_the_region_engine(self):
+        engine = {"Nesting", "ev0_tree", "_Packing", "_region_value", "_ev0_sum"}
+        assert engine.isdisjoint(projector._grouped_remainders.__code__.co_names)
+
+
 class TestGramScaling:
     def test_ev0_invariant_under_positive_scaling(self):
         rng = random.Random(31)
