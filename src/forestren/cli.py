@@ -2,11 +2,13 @@
 
 Commands read forest files in the grammar of :mod:`forestren.forest`, run
 the pipeline, and print deterministic results on stdout; diagnostics go to
-stderr.  Exit codes: 0 success, 1 parse/input error, 2 locality or
-proper-decoration violation (and an argparse usage error, such as an option
-the command does not take), 3 failed numeric check.  A call imports only
-what its command runs: the oracle and numpy for ``quad-check``.  No command
-loads mpmath; a float rendering is computed with ints.
+stderr.  Every library error and every file error prints one ``error:``
+line and exits 1, except a locality or proper-decoration violation or a
+singular Gram system, which exit 2 (as does an argparse usage error, such as
+an option the command does not take), and a failed numeric check, which
+exits 3.  Exit 0 is success.  A call imports only what its command runs:
+the oracle and numpy for ``quad-check``.  No command loads mpmath; a float
+rendering is computed with ints.
 """
 
 from __future__ import annotations
@@ -19,16 +21,11 @@ from .errors import (
     ConvergenceFailure,
     DomainError,
     ForestrenError,
-    IndexOutOfRange,
     LocalityViolation,
-    NonPositiveWeight,
-    NotDivisible,
     NotProperlyDecorated,
     NumeratorTooLarge,
     ParseError,
     SingularGram,
-    TruncationBelowDegree,
-    VariableMismatch,
 )
 from .forest import parse_forest
 from .projector import piplus_expand
@@ -41,20 +38,20 @@ from .renorm import (
     renormalize,
 )
 
-_PARSE_ERRORS = (
-    ParseError,
-    NonPositiveWeight,
-    VariableMismatch,
-    IndexOutOfRange,
-    TruncationBelowDegree,
-    NumeratorTooLarge,
-)
-_LOCALITY_ERRORS = (NotProperlyDecorated, LocalityViolation, SingularGram)
-_NUMERIC_ERRORS = (ConvergenceFailure, DomainError)
-
 
 class _CheckFailure(ForestrenError):
     """A cross-check did not hold; maps to exit code 3."""
+
+
+# Exit codes of the errors that do not exit 1, as the module docstring lists
+_EXIT_CODES = {
+    NotProperlyDecorated: 2,
+    LocalityViolation: 2,
+    SingularGram: 2,
+    ConvergenceFailure: 3,
+    DomainError: 3,
+    _CheckFailure: 3,
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -245,18 +242,9 @@ def run(argv: Optional[list[str]] = None, out=None, err=None) -> int:
     args = parser.parse_args(argv)
     try:
         _COMMANDS[args.command](args, out)
-    except _PARSE_ERRORS as exc:
+    except (ForestrenError, OSError) as exc:
         print(f"error: {exc}", file=err)
-        return 1
-    except _LOCALITY_ERRORS as exc:
-        print(f"error: {exc}", file=err)
-        return 2
-    except (_CheckFailure, *_NUMERIC_ERRORS) as exc:
-        print(f"error: {exc}", file=err)
-        return 3
-    except OSError as exc:
-        print(f"error: {exc}", file=err)
-        return 1
+        return _EXIT_CODES.get(type(exc), 1)
     return 0
 
 

@@ -248,9 +248,9 @@ def vertex_weights(
 
     The pipeline's one validation: :func:`gram`, ``regularize`` and
     ``renormalize`` check nothing else.  Raises :class:`NotProperlyDecorated`
-    unless :func:`check_properly_decorated` holds, then
-    :class:`NonPositiveWeight` at the first vertex whose weight is not
-    positive.
+    unless :func:`check_properly_decorated` holds, then ``ValueError`` at the
+    first repeated vertex id and :class:`NonPositiveWeight` at the first
+    vertex whose weight is not positive.
     """
     if not check_properly_decorated(forest, Q):
         raise NotProperlyDecorated(
@@ -258,6 +258,8 @@ def vertex_weights(
         )
     weights: dict[VertexId, Fraction] = {}
     for node in iter_vertices(forest):
+        if node.root_id in weights:
+            raise ValueError(f"vertex id {node.root_id} occurs twice")
         q = inner(Q, node.decoration, node.decoration)
         if q <= 0:
             raise NonPositiveWeight(
@@ -331,6 +333,9 @@ def canonical(forest: DecoratedForest, Q: InnerProduct) -> bytes:
 
 _TOKEN_RE = re.compile(r"\(|\)|\[[^\[\]]*\]|[^\s()\[\]]+")
 
+# The deepest nesting parse_forest accepts, a bound the CLI walks safely
+MAX_NESTING = 960
+
 
 def _tokenize(text: str) -> list[str]:
     tokens = []
@@ -373,69 +378,38 @@ def _parse_q_matrix(text: str) -> InnerProduct:
     return Q
 
 
-class _Parser:
-    def __init__(self, tokens: list[str], explicit_Q: Optional[InnerProduct]):
-        self.tokens = tokens
-        self.k = 0
-        self.explicit_Q = explicit_Q
-        self.next_id = 0
-        self.weights: dict[int, Fraction] = {}
-
-    def peek(self) -> Optional[str]:
-        return self.tokens[self.k] if self.k < len(self.tokens) else None
-
-    def take(self) -> str:
-        tok = self.peek()
-        if tok is None:
-            raise ParseError("unexpected end of input")
-        self.k += 1
-        return tok
-
-    def parse_decoration(self) -> LinearForm:
-        tok = self.take()
-        if self.explicit_Q is not None:
-            if not tok.startswith("["):
-                raise ParseError(
-                    f"expected vector literal in explicit mode, got {tok!r}"
-                )
-            body = tok[1:-1].strip()
-            if not body:
-                raise ParseError("empty vector literal")
-            coords = [_parse_fraction(p.strip()) for p in body.split(",")]
-            dim = len(self.explicit_Q.indices)
-            if len(coords) != dim:
-                raise ParseError(
-                    f"vector has {len(coords)} entries; Q is {dim}x{dim}"
-                )
-            lf = LinearForm.from_coeffs(
-                {i: c for i, c in enumerate(coords)}
+def _parse_decoration(
+    tok: str,
+    explicit_Q: Optional[InnerProduct],
+    vid: VertexId,
+    weights: dict[VertexId, Fraction],
+) -> LinearForm:
+    """Decorate vertex ``vid``; canonical weights go in ``weights``."""
+    if explicit_Q is not None:
+        if not tok.startswith("["):
+            raise ParseError(
+                f"expected vector literal in explicit mode, got {tok!r}"
             )
-            if lf.is_zero():
-                raise NotProperlyDecorated("zero decoration vector")
-            return lf
-        if tok.startswith("["):
-            raise ParseError("vector literal requires a leading Q= line")
-        w = _parse_fraction(tok)
-        if w <= 0:
-            raise NonPositiveWeight(f"vertex weight {w} must be positive")
-        vid = self.next_id
-        self.weights[vid] = w
-        return basis(vid)
-
-    def parse_tree(self) -> DecoratedTree:
-        tok = self.take()
-        if tok != "(":
-            raise ParseError(f"expected '(', got {tok!r}")
-        deco = self.parse_decoration()
-        vid = self.next_id
-        self.next_id += 1
-        children = []
-        while self.peek() == "(":
-            children.append(self.parse_tree())
-        closing = self.take()
-        if closing != ")":
-            raise ParseError(f"expected ')', got {closing!r}")
-        return DecoratedTree(vid, deco, tuple(children))
+        body = tok[1:-1].strip()
+        if not body:
+            raise ParseError("empty vector literal")
+        coords = [_parse_fraction(p.strip()) for p in body.split(",")]
+        dim = len(explicit_Q.indices)
+        if len(coords) != dim:
+            raise ParseError(
+                f"vector has {len(coords)} entries; Q is {dim}x{dim}"
+            )
+        lf = LinearForm.from_coeffs({i: c for i, c in enumerate(coords)})
+        if lf.is_zero():
+            raise NotProperlyDecorated("zero decoration vector")
+        return lf
+    if tok.startswith("["):
+        raise ParseError("vector literal requires a leading Q= line")
+    w = _parse_fraction(tok)
+    if w <= 0:
+        raise NonPositiveWeight(f"vertex weight {w} must be positive")
+    weights[vid] = w
+    return basis(vid)
 
 
 def parse_forest(text: str) -> tuple[DecoratedForest, InnerProduct]:
@@ -450,6 +424,9 @@ def parse_forest(text: str) -> tuple[DecoratedForest, InnerProduct]:
     line ``Q=<matrix>`` (rows semicolon-separated, entries comma-separated)
     and then uses vector literals ``[c1,...,cn]`` as decorations; the result
     must be properly decorated.
+
+    One pass over the tokens keeps a stack of open vertices, numbered in
+    preorder; nesting deeper than :data:`MAX_NESTING` is a :class:`ParseError`.
     """
     stripped = text.lstrip()
     explicit_Q: Optional[InnerProduct] = None
@@ -465,13 +442,31 @@ def parse_forest(text: str) -> tuple[DecoratedForest, InnerProduct]:
         if explicit_Q is not None:
             return EMPTY_FOREST, explicit_Q
         return EMPTY_FOREST, InnerProduct.diagonal({})
-    parser = _Parser(tokens, explicit_Q)
-    trees = []
-    try:
-        while parser.peek() is not None:
-            trees.append(parser.parse_tree())
-    except RecursionError:
-        raise ParseError("forest nesting is too deep") from None
+    weights: dict[VertexId, Fraction] = {}
+    trees: list[DecoratedTree] = []
+    stack: list[tuple[VertexId, LinearForm, list[DecoratedTree]]] = []
+    next_id = 0
+    k = 0
+    while k < len(tokens):
+        tok = tokens[k]
+        if tok == "(":
+            if len(stack) == MAX_NESTING:
+                raise ParseError("forest nesting is too deep")
+            if k + 1 == len(tokens):
+                raise ParseError("unexpected end of input")
+            deco = _parse_decoration(tokens[k + 1], explicit_Q, next_id, weights)
+            stack.append((next_id, deco, []))
+            next_id += 1
+            k += 2
+        elif tok == ")" and stack:
+            vid, deco, children = stack.pop()
+            node = DecoratedTree(vid, deco, tuple(children))
+            (stack[-1][2] if stack else trees).append(node)
+            k += 1
+        else:
+            raise ParseError(f"expected {')' if stack else '('!r}, got {tok!r}")
+    if stack:
+        raise ParseError("unexpected end of input")
     forest = DecoratedForest(tuple(trees))
     if explicit_Q is not None:
         # Q is positive definite and no decoration is zero: weights are positive
@@ -481,7 +476,7 @@ def parse_forest(text: str) -> tuple[DecoratedForest, InnerProduct]:
                 "explicit decorations must be nonzero and pairwise Q-orthogonal"
             )
     else:
-        Q = InnerProduct.diagonal(parser.weights)
+        Q = InnerProduct.diagonal(weights)
     return forest, Q
 
 

@@ -83,7 +83,9 @@ class PiPoly:
             for j, b in enumerate(other.coeffs):
                 if b != 0:
                     out[i + j] += a * b
-        return PiPoly.from_coeffs(out)
+        while out and out[-1] == 0:
+            out.pop()
+        return PiPoly(tuple(out))
 
     def scaled(self, c: Rational) -> "PiPoly":
         if not isinstance(c, Fraction):
@@ -282,17 +284,9 @@ class TruncSeries:
 
     @staticmethod
     def one(variables: Sequence[VertexId], trunc: int) -> "TruncSeries":
-        return TruncSeries.from_const(variables, trunc, ONE_PIPOLY)
-
-    @staticmethod
-    def from_const(
-        variables: Sequence[VertexId], trunc: int, c: Union[PiPoly, Rational]
-    ) -> "TruncSeries":
-        if not isinstance(c, PiPoly):
-            c = PiPoly.const(c)
         variables = tuple(variables)
         zero_ev = (0,) * len(variables)
-        return TruncSeries.make(variables, trunc, {zero_ev: c})
+        return TruncSeries.make(variables, trunc, {zero_ev: ONE_PIPOLY})
 
     @staticmethod
     def var(
@@ -343,15 +337,6 @@ class TruncSeries:
                 prev = out.get(ev)
                 out[ev] = prod if prev is None else prev + prod
         return TruncSeries.make(self.variables, trunc, out)
-
-    def scaled(self, c: Union[PiPoly, Rational]) -> "TruncSeries":
-        if not isinstance(c, PiPoly):
-            c = PiPoly.const(c)
-        return TruncSeries.make(
-            self.variables,
-            self.trunc,
-            {ev: coef * c for ev, coef in self.terms.items()},
-        )
 
     def truncated(self, trunc: int) -> "TruncSeries":
         """Drop terms of total degree above ``trunc`` and lower the bound."""

@@ -7,6 +7,8 @@ import time
 
 import pytest
 
+import forestren.cli
+import forestren.errors as errors
 from forestren import parse_forest, renormalize
 from forestren.cli import run
 
@@ -367,6 +369,32 @@ class TestErrorPaths:
         assert (rc, out) == (1, "")
         assert err == (
             "error: a tree of degree 600 needs more than 100000 numerator terms\n"
+        )
+
+    @pytest.mark.parametrize(
+        "error",
+        [*errors.ForestrenError.__subclasses__(), forestren.cli._CheckFailure],
+        ids=lambda error: error.__name__,
+    )
+    def test_every_library_error_is_one_line(self, workdir, monkeypatch, error):
+        codes = {
+            "NotProperlyDecorated": 2,
+            "LocalityViolation": 2,
+            "SingularGram": 2,
+            "ConvergenceFailure": 3,
+            "DomainError": 3,
+            "_CheckFailure": 3,
+        }
+
+        def fail(*args):
+            raise error("the message")
+
+        monkeypatch.setattr(forestren.cli, "renormalize", fail)
+        f = put(workdir, "l2.forest", "(1 (1))")
+        assert invoke(["renorm", f]) == (
+            codes.get(error.__name__, 1),
+            "",
+            "error: the message\n",
         )
 
     def test_missing_file_exit_1(self, workdir):

@@ -26,6 +26,7 @@ from forestren import (
     tree_shapes,
 )
 from forestren.forest import (
+    MAX_NESTING,
     Empty,
     Grafted,
     Product,
@@ -78,6 +79,56 @@ class TestParsing:
     def test_deep_nesting_is_a_parse_error(self):
         with pytest.raises(ParseError, match="forest nesting is too deep"):
             parse_forest("(1 " * 5000 + ")" * 5000)
+
+    def test_nesting_bound_is_independent_of_the_caller_stack(self):
+        def nested(calls, text):
+            return nested(calls - 1, text) if calls else parse_forest(text)
+
+        deepest = "(1 " * MAX_NESTING + ")" * MAX_NESTING
+        f, _ = nested(300, deepest)
+        assert degree(f) == MAX_NESTING
+        with pytest.raises(ParseError, match="^forest nesting is too deep$"):
+            nested(300, "(1 " + deepest + ")")
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("", "empty input"),
+            (" \n ", "empty input"),
+            ("(1 [)", "unexpected character '['"),
+            ("(1) ]", "unexpected character ']'"),
+            ("(x)", "invalid rational 'x'"),
+            ("(1/0)", "invalid rational '1/0'"),
+            (
+                "(" + "x" * 30 + ")",
+                "invalid rational 'xxxxxxxxxxxxxxxxxxxx'... (30 characters)",
+            ),
+            ("(1", "unexpected end of input"),
+            ("(1 (2)", "unexpected end of input"),
+            ("(", "unexpected end of input"),
+            (")", "expected '(', got ')'"),
+            ("(1) 2", "expected '(', got '2'"),
+            ("(1 2)", "expected ')', got '2'"),
+            ("(1 (2) x)", "expected ')', got 'x'"),
+            ("([1,0])", "vector literal requires a leading Q= line"),
+            ("Q=1;;\n([1])", "empty row in Q matrix"),
+            ("Q=1,x\n([1])", "invalid rational 'x'"),
+            ("Q=1,2\n([1])", "bad Q matrix: matrix is not square"),
+            (
+                "Q=1,2;3,1\n([1,0])",
+                "bad Q matrix: matrix is not symmetric at (0,1)",
+            ),
+            ("Q=1,2;2,1\n([1,0])", "Q matrix must be positive definite"),
+            ("Q=1\n(1)", "expected vector literal in explicit mode, got '1'"),
+            ("Q=1\n([ ])", "empty vector literal"),
+            ("Q=1\n([x])", "invalid rational 'x'"),
+            ("Q=1,0;0,1\n([1])", "vector has 1 entries; Q is 2x2"),
+        ],
+    )
+    def test_parse_error_messages(self, text, message):
+        with pytest.raises(ParseError) as exc:
+            parse_forest(text)
+        assert str(exc.value) == message
 
 
 class TestExplicitMode:
@@ -152,7 +203,7 @@ class TestSerialize:
             assert canonical(f, Q) == canonical(f2, Q2)
 
     def test_deep_ladder_roundtrip(self):
-        # rendering walks iteratively; the parser recurses, to about 990 deep
+        # rendering walks iteratively, and the parser keeps its own stack
         text = "(" + " (".join(str(k % 7 + 1) for k in range(900)) + ")" * 900
         f, Q = parse_forest(text)
         out = serialize(f, Q)

@@ -255,6 +255,18 @@ class TestGuards:
         with pytest.raises(NonPositiveWeight):
             stage(f, indefinite)
 
+    @pytest.mark.parametrize(
+        "stage",
+        [renormalize, regularize, gram, expand_r1],
+        ids=lambda stage: stage.__name__,
+    )
+    def test_repeated_vertex_id_refused(self, stage):
+        # with ids 0 and 1 this forest renormalizes to 5*pi^2/18
+        f = forest_of(tree(0, basis(0), [tree(0, basis(1))]))
+        Q = InnerProduct.diagonal({0: 1, 1: 2})
+        with pytest.raises(ValueError, match="^vertex id 0 occurs twice$"):
+            stage(f, Q)
+
     def test_one_validation_per_call(self, monkeypatch):
         f, Q = parse_forest("(1 (1)) (2 (1) (3) (1))")
         calls = []
