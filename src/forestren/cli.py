@@ -7,8 +7,10 @@ line and exits 1, except a locality or proper-decoration violation or a
 singular Gram system, which exit 2 (as does an argparse usage error, such as
 an option the command does not take), and a failed numeric check, which
 exits 3.  Exit 0 is success.  A call imports only what its command runs:
-the oracle and numpy for ``quad-check``.  No command loads mpmath; a float
-rendering is computed with ints.
+the oracle and numpy for ``quad-check``, and the telescoping reference of
+:mod:`forestren.projector` for ``germ``; the other commands compile the
+region engine alone.  No command loads mpmath, since a float rendering is
+computed with ints, nor ``dataclasses``, since the package defines none.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from .errors import (
     SingularGram,
 )
 from .forest import parse_forest
-from .projector import piplus_expand
 from .renorm import (
     MAX_GERM_DEGREE,
     MAX_GERM_TRUNC_EXCESS,
@@ -161,6 +162,9 @@ def _cmd_regularize(args, out) -> None:
 
 
 def _cmd_germ(args, out) -> None:
+    # Only germ runs the telescoping reference.
+    from .projector import piplus_expand
+
     def handle(forest, Q, prefix):
         deg = forest.degree()
         if deg > MAX_GERM_DEGREE:

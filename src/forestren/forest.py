@@ -15,7 +15,6 @@ forest shapes of a given size.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Iterator, Optional, Sequence, Union
@@ -27,6 +26,7 @@ from .errors import (
     ParseError,
 )
 from .pairing import (
+    Frozen,
     GramMatrix,
     InnerProduct,
     LinearForm,
@@ -39,23 +39,36 @@ from .pairing import (
 VertexId = int
 
 
-@dataclass(frozen=True)
-class DecoratedTree:
+class DecoratedTree(Frozen):
     """A rooted tree: root decoration, root id, and an unordered children tuple."""
 
+    __slots__ = _fields = ("root_id", "decoration", "children")
     root_id: VertexId
     decoration: LinearForm
     children: tuple["DecoratedTree", ...]
+
+    def __init__(
+        self,
+        root_id: VertexId,
+        decoration: LinearForm,
+        children: tuple["DecoratedTree", ...],
+    ) -> None:
+        object.__setattr__(self, "root_id", root_id)
+        object.__setattr__(self, "decoration", decoration)
+        object.__setattr__(self, "children", children)
 
     def vertex_count(self) -> int:
         return DecoratedForest((self,)).degree()
 
 
-@dataclass(frozen=True)
-class DecoratedForest:
+class DecoratedForest(Frozen):
     """A multiset of decorated rooted trees; the empty tuple is the unit."""
 
+    __slots__ = _fields = ("trees",)
     trees: tuple[DecoratedTree, ...]
+
+    def __init__(self, trees: tuple[DecoratedTree, ...]) -> None:
+        object.__setattr__(self, "trees", trees)
 
     def degree(self) -> int:
         return sum(1 for _ in iter_vertices(self))
@@ -152,25 +165,36 @@ def graft(
     return DecoratedTree(root_id, omega, forest.trees)
 
 
-@dataclass(frozen=True)
-class Empty:
+class Empty(Frozen):
     """Decomposition case: the unit forest."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
-class Product:
+
+class Product(Frozen):
     """Decomposition case: a product of at least two trees."""
 
+    __slots__ = _fields = ("factors",)
     factors: tuple[DecoratedTree, ...]
 
+    def __init__(self, factors: tuple[DecoratedTree, ...]) -> None:
+        object.__setattr__(self, "factors", factors)
 
-@dataclass(frozen=True)
-class Grafted:
+
+class Grafted(Frozen):
     """Decomposition case: a single tree, recorded as a graft."""
 
+    __slots__ = _fields = ("omega", "inner", "root_id")
     omega: LinearForm
     inner: DecoratedForest
     root_id: VertexId
+
+    def __init__(
+        self, omega: LinearForm, inner: DecoratedForest, root_id: VertexId
+    ) -> None:
+        object.__setattr__(self, "omega", omega)
+        object.__setattr__(self, "inner", inner)
+        object.__setattr__(self, "root_id", root_id)
 
 
 Decomposition = Union[Empty, Product, Grafted]
@@ -335,6 +359,13 @@ _TOKEN_RE = re.compile(r"\(|\)|\[[^\[\]]*\]|[^\s()\[\]]+")
 
 # The deepest nesting parse_forest accepts, a bound the CLI walks safely
 MAX_NESTING = 960
+# The most digits a parsed numerator or denominator may have: Python's
+# default limit on the digits int() reads, which bounds each digit run of a
+# token.  Past an exponent of 2 * MAX_DIGITS either part has more digits,
+# since the mantissa's runs have MAX_DIGITS at most.
+MAX_DIGITS = 4300
+_DIGITS_BOUND = 10**MAX_DIGITS
+_EXPONENT_RE = re.compile(r"[eE]([-+]?[0-9_]+)\s*$")
 
 
 def _tokenize(text: str) -> list[str]:
@@ -352,8 +383,17 @@ def _tokenize(text: str) -> list[str]:
 
 
 def _parse_fraction(tok: str) -> Fraction:
+    """The rational a token spells; raises ParseError unless its numerator
+    and denominator have at most :data:`MAX_DIGITS` digits each."""
     try:
-        return Fraction(tok)
+        # Fraction builds 10**exponent whole: refuse a large one before
+        exp = _EXPONENT_RE.search(tok)
+        if exp is not None and abs(int(exp[1])) > 2 * MAX_DIGITS:
+            raise ValueError("exponent out of range")
+        value = Fraction(tok)
+        if max(abs(value.numerator), value.denominator) >= _DIGITS_BOUND:
+            raise ValueError("too many digits")
+        return value
     except (ValueError, ZeroDivisionError) as exc:
         shown = repr(tok)
         if len(tok) > 20:  # a token may run to any length

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Mapping, Optional, Sequence
 
@@ -36,7 +35,7 @@ from .forest import (
     subtree_sums,
     vertex_ids,
 )
-from .pairing import InnerProduct, LinearForm, basis
+from .pairing import Frozen, InnerProduct, LinearForm, basis
 from .projector import GermFraction, ProjectionContext, ev0_piplus
 from .series import PiPoly, TruncSeries, h_series
 
@@ -67,11 +66,14 @@ MAX_REFINEMENTS = 8
 T_CUT = 9.0
 
 
-@dataclass(frozen=True)
-class NumericAssignment:
+class NumericAssignment(Frozen):
     """Real values for the basis directions, inducing values of linear forms."""
 
+    __slots__ = _fields = ("values",)
     values: Mapping[int, float]
+
+    def __init__(self, values: Mapping[int, float]) -> None:
+        object.__setattr__(self, "values", values)
 
     def value_of(self, lf: LinearForm) -> float:
         total = 0.0

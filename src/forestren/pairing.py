@@ -5,13 +5,14 @@ and all predicates (orthogonality, positive definiteness) are decided by
 exact arithmetic, through one Gaussian elimination routine.  The
 independence relation used throughout the package is Q-orthogonality of
 linear forms.  Building the Gram matrix of a forest's subtree sums belongs
-to :mod:`forestren.forest`.
+to :mod:`forestren.forest`.  :class:`Frozen`, the value base of every
+immutable class in the package, lives here because this is the lowest
+module that defines one.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Mapping, Sequence, Union
@@ -23,8 +24,47 @@ Rational = Union[Fraction, int]
 _ZERO = Fraction(0)
 
 
-@dataclass(frozen=True)
-class LinearForm:
+class Frozen:
+    """Value semantics for the package's immutable classes.
+
+    A subclass keeps its fields in ``__slots__``, lists them in ``_fields``
+    and sets them in ``__init__`` with ``object.__setattr__``; after that,
+    assigning or deleting any attribute raises ``AttributeError``.  Objects
+    of the same class are equal when their field tuples are, and hash as
+    that tuple; against any other class ``==`` returns ``NotImplemented``.
+    The repr is ``Name(field=value, ...)``, and copy and pickle rebuild an
+    object by calling the class on its fields.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _astuple(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._astuple() == other._astuple()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._astuple())
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({shown})"
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._astuple()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class LinearForm(Frozen):
     """A sparse covector with rational coefficients.
 
     ``items`` is the normalized representation: pairs ``(index, coefficient)``
@@ -33,7 +73,20 @@ class LinearForm:
     constructor.
     """
 
+    __slots__ = _fields = ("items",)
     items: tuple[tuple[int, Fraction], ...]
+
+    def __init__(self, items: tuple[tuple[int, Fraction], ...]) -> None:
+        object.__setattr__(self, "items", items)
+
+    # written out: forms are compared and hashed in the hot loops
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.items == other.items
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.items,))
 
     @staticmethod
     def from_coeffs(coeffs: Mapping[int, Rational]) -> "LinearForm":
@@ -116,8 +169,7 @@ def basis(index: int) -> LinearForm:
     return LinearForm(((index, Fraction(1)),))
 
 
-@dataclass(frozen=True)
-class InnerProduct:
+class InnerProduct(Frozen):
     """A symmetric rational pairing on a finite active index set.
 
     ``entries`` stores the upper triangle sparsely: ``((i, j), value)`` with
@@ -125,8 +177,18 @@ class InnerProduct:
     :func:`inner` with :class:`IndexOutOfRange`.
     """
 
+    _fields = ("indices", "entries")
+    __slots__ = (*_fields, "__dict__")  # the cached properties live in __dict__
     indices: tuple[int, ...]
     entries: tuple[tuple[tuple[int, int], Fraction], ...]
+
+    def __init__(
+        self,
+        indices: tuple[int, ...],
+        entries: tuple[tuple[tuple[int, int], Fraction], ...],
+    ) -> None:
+        object.__setattr__(self, "indices", indices)
+        object.__setattr__(self, "entries", entries)
 
     @cached_property
     def _table(self) -> dict[tuple[int, int], Fraction]:
@@ -249,8 +311,7 @@ def is_independent(Q: InnerProduct, a: LinearForm, b: LinearForm) -> bool:
     return inner(Q, a, b) == 0
 
 
-@dataclass(frozen=True)
-class GramMatrix:
+class GramMatrix(Frozen):
     """A symmetric matrix Q(L_v, L_w) over labelled linear forms L_v.
 
     ``vertices`` is sorted; ``rows`` is dense.  Positive definiteness holds
@@ -259,8 +320,18 @@ class GramMatrix:
     otherwise.
     """
 
+    _fields = ("vertices", "rows")
+    __slots__ = (*_fields, "__dict__")  # the cached property lives in __dict__
     vertices: tuple[int, ...]
     rows: tuple[tuple[Fraction, ...], ...]
+
+    def __init__(
+        self,
+        vertices: tuple[int, ...],
+        rows: tuple[tuple[Fraction, ...], ...],
+    ) -> None:
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "rows", rows)
 
     @cached_property
     def _pos(self) -> dict[int, int]:

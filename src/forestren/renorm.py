@@ -13,7 +13,6 @@ evaluates a forest tree by tree and multiplies.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import TYPE_CHECKING, Optional
@@ -33,12 +32,16 @@ from .forest import (
     vertex_ids,
     vertex_weights,
 )
-from .pairing import InnerProduct, LinearForm, inner
-from .projector import GermFraction, Nesting, ProjectionContext, ev0_tree
+from .pairing import Frozen, InnerProduct, LinearForm, inner
+from .region import Nesting, ev0_tree
 from .series import ONE_PIPOLY, ZERO_PIPOLY, PiPoly, TruncSeries, h_series
 
-if TYPE_CHECKING:  # mpmath loads only for ``numeric``; rendering needs none
+if TYPE_CHECKING:
+    # mpmath loads only for ``numeric``; rendering needs none.  The
+    # projector's telescoping reference loads only for expand_r1.
     import mpmath
+
+    from .projector import GermFraction, ProjectionContext
 
 # C(n/2 + n - 1, n - 1) terms at degree n: 77,520 at 14, 490,314 at 16.
 # Projection keeps about 5 region states per term, about 240 bytes each
@@ -51,16 +54,22 @@ MAX_GERM_DEGREE = 5
 MAX_GERM_TRUNC_EXCESS = 2
 
 
-@dataclass(frozen=True)
-class RegularizedIntegral:
+class RegularizedIntegral(Frozen):
     """The symbol f * x^(-exponent) with f a product of cosecant factors.
 
     ``factors`` holds the arguments L of the pi/sin(pi L) factors, sorted
     canonically so that structural equality is multiset equality.
     """
 
+    __slots__ = _fields = ("exponent", "factors")
     exponent: LinearForm
     factors: tuple[LinearForm, ...]
+
+    def __init__(
+        self, exponent: LinearForm, factors: tuple[LinearForm, ...]
+    ) -> None:
+        object.__setattr__(self, "exponent", exponent)
+        object.__setattr__(self, "factors", factors)
 
     @staticmethod
     def make(
@@ -71,8 +80,7 @@ class RegularizedIntegral:
         )
 
 
-@dataclass(frozen=True)
-class RenormalizedValue:
+class RenormalizedValue(Frozen):
     """Exact value in Q[pi^2] together with a high-precision numeric rendering.
 
     ``numeric_str`` renders the exact value with ints alone
@@ -81,7 +89,12 @@ class RenormalizedValue:
     decimal digits, evaluated on first access.
     """
 
+    _fields = ("exact",)
+    __slots__ = (*_fields, "__dict__")  # the cached property lives in __dict__
     exact: PiPoly
+
+    def __init__(self, exact: PiPoly) -> None:
+        object.__setattr__(self, "exact", exact)
 
     @staticmethod
     def from_exact(exact: PiPoly) -> "RenormalizedValue":
@@ -135,6 +148,8 @@ def expand_r1(
     vertex.  The context carries the Gram matrix of the subtree sums, whose
     :func:`gram` validates the forest.
     """
+    from .projector import GermFraction, ProjectionContext
+
     ctx = ProjectionContext(gram(forest, Q))
     N = _require_trunc(forest, N)
     variables = vertex_ids(forest)

@@ -14,12 +14,12 @@ of sin(pi x)/(pi x).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import TYPE_CHECKING, Mapping, Optional, Sequence, Union
 
 from .errors import NotDivisible, VariableMismatch
+from .pairing import Frozen
 
 if TYPE_CHECKING:  # mpmath loads on the first evalf, never to render
     import mpmath
@@ -29,15 +29,27 @@ VertexId = int
 ExpVec = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class PiPoly:
+class PiPoly(Frozen):
     """A polynomial in the formal symbol Pi = pi^2 with rational coefficients.
 
     ``coeffs[k]`` is the coefficient of Pi^k; the tuple carries no trailing
     zeros, so the zero polynomial is the empty tuple.
     """
 
+    __slots__ = _fields = ("coeffs",)
     coeffs: tuple[Fraction, ...]
+
+    def __init__(self, coeffs: tuple[Fraction, ...]) -> None:
+        object.__setattr__(self, "coeffs", coeffs)
+
+    # written out: values are compared and hashed in the hot loops
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.coeffs == other.coeffs
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.coeffs,))
 
     @staticmethod
     def from_coeffs(coeffs: Sequence[Rational]) -> "PiPoly":
@@ -250,19 +262,43 @@ ZERO_PIPOLY = PiPoly(())
 ONE_PIPOLY = PiPoly.const(1)
 
 
-@dataclass(frozen=True)
-class TruncSeries:
+class TruncSeries(Frozen):
     """A multivariate power series truncated at a total degree.
 
     ``variables`` fixes the slot order of the exponent vectors; ``terms`` maps
     exponent vectors (total degree <= ``trunc``) to nonzero PiPoly
     coefficients.  Values are immutable by convention: the ``terms`` dict is
-    never mutated after construction.
+    never mutated after construction, and the hash leaves it out.
     """
 
+    __slots__ = _fields = ("variables", "trunc", "terms")
     variables: tuple[VertexId, ...]
     trunc: int
-    terms: Mapping[ExpVec, PiPoly] = field(hash=False)
+    terms: Mapping[ExpVec, PiPoly]
+
+    def __init__(
+        self,
+        variables: tuple[VertexId, ...],
+        trunc: int,
+        terms: Mapping[ExpVec, PiPoly],
+    ) -> None:
+        object.__setattr__(self, "variables", variables)
+        object.__setattr__(self, "trunc", trunc)
+        object.__setattr__(self, "terms", terms)
+
+    # written out: the hash skips ``terms``, and series are compared in the
+    # reference's hot loops
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (
+                self.trunc == other.trunc
+                and self.variables == other.variables
+                and self.terms == other.terms
+            )
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.variables, self.trunc))
 
     @staticmethod
     def make(

@@ -12,12 +12,17 @@ so it is usable with arbitrary user-supplied targets.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
 from typing import Callable, Generic, TypeVar
 
 from .errors import LocalityViolation
 from .forest import DecoratedForest, Empty, Grafted, Product, decompose
-from .pairing import InnerProduct, LinearForm, ZERO_FORM, is_independent
+from .pairing import (
+    ZERO_FORM,
+    Frozen,
+    InnerProduct,
+    LinearForm,
+    is_independent,
+)
 from .renorm import RegularizedIntegral
 
 T = TypeVar("T")
@@ -83,8 +88,9 @@ def fold(forest: DecoratedForest, target: OperatedLocalityTarget[T]) -> T:
     return target.action(dec.omega, val)
 
 
-@dataclass(frozen=True)
-class SymbolicIntegralTarget(OperatedLocalityTarget[RegularizedIntegral]):
+class SymbolicIntegralTarget(
+    Frozen, OperatedLocalityTarget[RegularizedIntegral]
+):
     """The target whose fold reproduces the closed-form regularization.
 
     Values are the symbols (exponent, cosecant factors); the action of a
@@ -93,7 +99,11 @@ class SymbolicIntegralTarget(OperatedLocalityTarget[RegularizedIntegral]):
     involved forms.
     """
 
+    __slots__ = _fields = ("Q",)
     Q: InnerProduct
+
+    def __init__(self, Q: InnerProduct) -> None:
+        object.__setattr__(self, "Q", Q)
 
     def unit(self) -> RegularizedIntegral:
         return RegularizedIntegral.make(ZERO_FORM, ())
@@ -141,8 +151,7 @@ def symbolic_integral_target(Q: InnerProduct) -> SymbolicIntegralTarget:
     return SymbolicIntegralTarget(Q)
 
 
-@dataclass(frozen=True)
-class BetaPhiTarget(OperatedLocalityTarget[LinearForm]):
+class BetaPhiTarget(Frozen, OperatedLocalityTarget[LinearForm]):
     """Additive monoid of linear forms with the action u -> phi(omega + u).
 
     ``phi`` must be independent of the identity map on the decorations in
@@ -150,8 +159,15 @@ class BetaPhiTarget(OperatedLocalityTarget[LinearForm]):
     violation as LocalityViolation.
     """
 
+    __slots__ = _fields = ("phi", "Q")
     phi: Callable[[LinearForm], LinearForm]
     Q: InnerProduct
+
+    def __init__(
+        self, phi: Callable[[LinearForm], LinearForm], Q: InnerProduct
+    ) -> None:
+        object.__setattr__(self, "phi", phi)
+        object.__setattr__(self, "Q", Q)
 
     def unit(self) -> LinearForm:
         return ZERO_FORM

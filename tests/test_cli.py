@@ -268,6 +268,27 @@ class TestErrorPaths:
         assert err.count("\n") == 1
         assert len(err) < 100  # an excerpt, not the 5,000-digit token
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "(1e99999999 (1))",
+            "(1 (1e-99999999))",
+            "Q=1e99999999\n([1])",
+            "Q=1e-99999999\n([1])",
+            "Q=1,0;0,1\n([1e99999999,0])",
+            "Q=1,0;0,1\n([0,1e-99999999])",
+        ],
+    )
+    def test_huge_exponent_exit_1_at_once(self, workdir, text):
+        # Fraction alone would build 10**99999999, for minutes
+        f = put(workdir, "exp.forest", text)
+        start = time.perf_counter()
+        rc, out, err = invoke(["renorm", f])
+        assert time.perf_counter() - start < 1.0
+        assert (rc, out) == (1, "")
+        assert err.startswith("error: invalid rational '1e")
+        assert err.count("\n") == 1
+
     def test_nonpositive_weight_exit_1(self, workdir):
         f = put(workdir, "bad.forest", "(0)")
         assert invoke(["renorm", f])[0] == 1

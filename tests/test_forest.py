@@ -71,6 +71,28 @@ class TestParsing:
         with pytest.raises(ParseError):
             parse_forest(text)
 
+    @pytest.mark.parametrize(
+        "token, value",
+        [
+            ("1e3", Fraction(1000)),
+            ("2.5", Fraction(5, 2)),
+            ("1E-2", Fraction(1, 100)),
+            ("1e+2", Fraction(100)),
+            # MAX_DIGITS digits in the numerator or the reduced denominator
+            ("1e4299", Fraction(10**4299)),
+            ("1e-4299", Fraction(1, 10**4299)),
+            ("1.5e-4299", Fraction(3, 2 * 10**4299)),
+        ],
+    )
+    def test_decimal_and_exponent_weights(self, token, value):
+        # a weight, a Q= entry and a vector coordinate parse alike
+        f, Q = parse_forest(f"({token})")
+        assert Q.entry(0, 0) == value
+        f, Q = parse_forest(f"Q={token}\n([1])")
+        assert Q.entry(0, 0) == value
+        f, Q = parse_forest(f"Q=1\n([{token}])")
+        assert f.trees[0].decoration.coeff(0) == value
+
     @pytest.mark.parametrize("text", ["(0)", "(-1)", "(1 (-2/3))"])
     def test_weights_must_be_positive(self, text):
         with pytest.raises(NonPositiveWeight):
@@ -123,6 +145,27 @@ class TestParsing:
             ("Q=1\n([ ])", "empty vector literal"),
             ("Q=1\n([x])", "invalid rational 'x'"),
             ("Q=1,0;0,1\n([1])", "vector has 1 entries; Q is 2x2"),
+            # an exponent is refused before Fraction builds 10**exponent
+            ("(1e99999999)", "invalid rational '1e99999999'"),
+            ("(1e-99999999)", "invalid rational '1e-99999999'"),
+            ("Q=1e99999999\n([1])", "invalid rational '1e99999999'"),
+            ("Q=1e-99999999\n([1])", "invalid rational '1e-99999999'"),
+            ("Q=1\n([1e99999999])", "invalid rational '1e99999999'"),
+            ("Q=1\n([1e-99999999])", "invalid rational '1e-99999999'"),
+            pytest.param(
+                "(1e" + "9" * 5000 + ")",
+                "invalid rational '1e999999999999999999'... (5002 characters)",
+                id="5000-digit exponent",
+            ),
+            # one digit past MAX_DIGITS in the numerator or the denominator
+            ("(1e4300)", "invalid rational '1e4300'"),
+            ("(1e-4300)", "invalid rational '1e-4300'"),
+            ("(1.5e-4300)", "invalid rational '1.5e-4300'"),
+            pytest.param(
+                "(" + "9" * 4300 + ".5)",
+                "invalid rational '99999999999999999999'... (4302 characters)",
+                id="4301-digit numerator",
+            ),
         ],
     )
     def test_parse_error_messages(self, text, message):

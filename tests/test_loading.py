@@ -49,6 +49,9 @@ EXPORTED = {
     ],
 }
 HEAVY = ("mpmath", "numpy", "forestren.oracle", "forestren.universal")
+# What the fast path compiles or builds for nothing: the telescoping
+# reference, and dataclasses with the inspect module it imports.
+REFERENCE = ("dataclasses", "inspect", "forestren.projector")
 
 # Runs one CLI call in a fresh interpreter and prints its exit code and
 # which of the modules named on the command line it loaded.
@@ -61,9 +64,9 @@ print(json.dumps([rc, sorted(m for m in watched if m in sys.modules)]))
 """
 
 
-def loaded_by(argv, cwd):
+def loaded_by(argv, cwd, watched=HEAVY):
     proc = subprocess.run(
-        [sys.executable, "-c", CHILD, json.dumps([HEAVY, argv])],
+        [sys.executable, "-c", CHILD, json.dumps([watched, argv])],
         cwd=cwd, capture_output=True, text=True, check=True,
     )
     rc, loaded = json.loads(proc.stdout)
@@ -102,6 +105,29 @@ class TestCommandLoads:
     def test_quad_check_loads_numpy_and_oracle(self, files):
         loaded = loaded_by(["quad-check", "l2.forest"], files)
         assert {"numpy", "forestren.oracle"} <= loaded
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["renorm", "a.forest", "--format", "exact"],
+            ["renorm", "a.forest", "--format", "float"],
+            ["renorm", "a.forest", "--format", "both"],
+            ["regularize", "a.forest"],
+            ["check-similar", "a.forest", "b.forest"],
+        ],
+        ids=lambda argv: " ".join(argv[:1] + argv[2:]),
+    )
+    def test_fast_path_commands_load_no_reference(self, files, argv):
+        assert loaded_by(argv, files, REFERENCE) == set()
+
+    def test_germ_loads_the_reference_only(self, files):
+        loaded = loaded_by(["germ", "l2.forest"], files, REFERENCE)
+        assert loaded == {"forestren.projector"}
+
+    def test_quad_check_loads_no_dataclasses(self, files):
+        # numpy imports inspect itself, so only dataclasses is watched here
+        loaded = loaded_by(["quad-check", "l2.forest"], files, REFERENCE[:1])
+        assert loaded == set()
 
 
 class TestLazyNamespace:

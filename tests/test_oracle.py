@@ -350,17 +350,17 @@ class TestSubsetOracle:
 
     def test_one_context_and_one_solve_per_pair(self, monkeypatch):
         contexts, solves = [], []
-        post_init, solve = ProjectionContext.__post_init__, GramMatrix.solve
+        init, solve = ProjectionContext.__init__, GramMatrix.solve
 
-        def spy_post_init(ctx):
+        def spy_init(ctx, *args, **kwargs):
             contexts.append(ctx)
-            post_init(ctx)
+            init(ctx, *args, **kwargs)
 
         def spy_solve(*args):
             solves.append(args)
             return solve(*args)
 
-        monkeypatch.setattr(ProjectionContext, "__post_init__", spy_post_init)
+        monkeypatch.setattr(ProjectionContext, "__init__", spy_init)
         monkeypatch.setattr(GramMatrix, "solve", spy_solve)
         for text in self.FORESTS:
             contexts.clear()

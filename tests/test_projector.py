@@ -27,7 +27,7 @@ from forestren import (
 )
 import forestren.forest
 import forestren.renorm
-from forestren import projector
+from forestren import projector, region
 from forestren.forest import (
     forest_shapes,
     from_shape,
@@ -35,7 +35,7 @@ from forestren.forest import (
     vertex_ids,
     vertex_weights,
 )
-from forestren.projector import Nesting
+from forestren.region import Nesting
 from forestren.renorm import _tree_nesting, expand_r1
 from forestren.series import ONE_PIPOLY, ZERO_PIPOLY
 
@@ -482,13 +482,13 @@ class TestRegionCoordinates:
     def test_state_counts(self, shape, n, states, monkeypatch):
         # the moves and the symbol choice fix how many states a tree visits
         packings = []
-        build = projector._Packing.of
+        build = region._Packing.of
 
         def spy(*args):
             packings.append(build(*args))
             return packings[-1]
 
-        monkeypatch.setattr(projector._Packing, "of", spy)
+        monkeypatch.setattr(region._Packing, "of", spy)
         renormalize(*unit_tree(shape(n), n))
         [packing] = packings
         assert len(packing.memo) == states
@@ -504,8 +504,8 @@ class TestRegionCoordinates:
                 [tree] = f.trees
                 nest = _tree_nesting(tree, vertex_weights(f, Q))
                 sevenfold = tuple(7 * w for w in nest.weight)
-                want = projector.ev0_tree(nest)
-                assert projector.ev0_tree(nest._replace(weight=sevenfold)) == want
+                want = region.ev0_tree(nest)
+                assert region.ev0_tree(nest._replace(weight=sevenfold)) == want
 
     @pytest.mark.parametrize("shape", tree_shapes(6))
     def test_generic_weights_match_telescoping(self, shape):
@@ -560,7 +560,7 @@ class TestRegionCoordinates:
         monkeypatch.setattr(forestren.forest, "gram", refuse)
         monkeypatch.setattr(forestren.renorm, "gram", refuse)
         monkeypatch.setattr(GramMatrix, "is_positive_definite", refuse)
-        monkeypatch.setattr(projector.Nesting, "of", refuse)
+        monkeypatch.setattr(Nesting, "of", refuse)
         monkeypatch.setattr(projector, "ev0_piplus_direct", refuse)
         assert [renormalize(*fQ).exact for fQ in forests] == want
 
@@ -574,8 +574,8 @@ class TestRegionCoordinates:
         def refuse(*args, **kwargs):
             raise AssertionError("the reference reached the fast path")
 
-        monkeypatch.setattr(projector, "_region_value", refuse)
-        monkeypatch.setattr(projector.Nesting, "of", refuse)
+        monkeypatch.setattr(region, "_region_value", refuse)
+        monkeypatch.setattr(Nesting, "of", refuse)
         for (ctx, frac), value in zip(fracs, want):
             assert ev0_piplus(frac, ctx) == value
             assert not ctx._monomial_memo
@@ -646,4 +646,7 @@ def test_tree_values_match_the_whole_forest_expansion():
 
 def test_projector_does_not_import_forest():
     # The fast path sees a Nesting; walks over trees belong to renorm.
-    assert "forest" not in helpers.imported_modules(projector)
+    for module in (projector, region):
+        assert "forest" not in helpers.imported_modules(module)
+    # and the region engine runs without the telescoping reference
+    assert "projector" not in helpers.imported_modules(region)
