@@ -7,11 +7,12 @@ the main code:
   double-exponential (tanh-sinh style) substitution evaluated in log space
   so that the improper endpoints and the deeply nested scale ranges stay
   inside float64.  Every vertex integrates over the same grid, so each
-  refinement level builds the kernel 1/(y_j + y_k) once, rescaled to lie in
-  [1/2, 1), and every vertex but a root contracts against it with
-  block-scaled multiply-adds instead of transcendentals.  Only the near
-  tiles of that kernel are stored: between nodes far apart on the grid the
-  rescaled kernel is exactly 1.0, so a far block contracts as its sum;
+  refinement level has one kernel 1/(y_j + y_k), rescaled to lie in
+  [1/2, 1) and built once per process on the level's first use; every
+  vertex but a root contracts against it with block-scaled multiply-adds
+  instead of transcendentals.  Only the near tiles of that kernel are
+  stored: between nodes far apart on the grid the rescaled kernel is
+  exactly 1.0, so a far block contracts as its sum;
 * a literal subset-sum re-derivation of the renormalized value, expanding
   the cosecant product into its 2^n Laurent terms and projecting each term
   separately with a randomized telescoping order, all through one
@@ -20,6 +21,7 @@ the main code:
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from fractions import Fraction
@@ -45,8 +47,10 @@ if TYPE_CHECKING:  # numpy loads on the first quadrature call, not on import
 # Kernel entries (grid nodes squared, times the vertices that are not roots,
 # which contract against the level's kernel once each) that quad_tree may
 # contract at one refinement level, a far block of ones counted in full: they
-# bound its time, while its memory is only the near tiles of one kernel per
-# level, 16% of nodes squared at level 5 and 14% at level 6.  The 4-vertex
+# bound its time.  A level is refused before its kernel is built, so one
+# contraction must fit: the kernels of levels 0-6 at most are built, once per
+# process each, and each keeps only its near tiles (14% of nodes squared at
+# level 5, 13% at level 6) and its own blocks.  The 4-vertex
 # tree (1 (2) (3 (1))) converges at level 6 with 15.9 million, the
 # benchmark's quadrature trees by level 5 with at most 6.6 million (5
 # contractions); a 50-deep ladder would need 65 million at level 5.
@@ -111,9 +115,10 @@ def _finite_max(a: np.ndarray, axis: Optional[int] = None) -> np.ndarray:
 
 
 def _logsumexp(a: np.ndarray, axis: Optional[int] = None) -> np.ndarray:
+    """log of the sum of e^a along axis, in place: a is overwritten."""
     import numpy as np
     m = _finite_max(a, axis)
-    a = a - m
+    a -= m
     np.exp(a, out=a)
     with np.errstate(divide="ignore"):
         out = np.log(np.sum(a, axis=axis))
@@ -162,7 +167,7 @@ def _check_strip(
 
 # Grid nodes per block of the shared kernel.  Each vertex scales its weights
 # block by block, so every product against the kernel sums terms of one scale.
-_KERNEL_BLOCK = 64
+_KERNEL_BLOCK = 32
 # Log-distance beyond which 1 + e^(-d) rounds to 1 in float64, so that the
 # kernel entry B is exactly 1.0.  Entries are clipped here, which spares exp
 # its slow underflow path, and a tile whose nodes all lie this far apart is
@@ -200,6 +205,11 @@ class _LevelKernel:
     apart, where B is exactly 1.0 and the product is the block's sum.  Only
     the near tiles below the diagonal are stored; B is symmetric, so the
     tile above the diagonal is the transpose of its mirror.
+
+    A kernel depends on its level alone, and :func:`_level_kernel` keeps one
+    per level for the life of the process, shared by every later call.  Its
+    arrays are therefore read-only, and ``contract`` writes only to
+    temporaries of its own.
     """
 
     def __init__(self, log_y: np.ndarray) -> None:
@@ -227,6 +237,9 @@ class _LevelKernel:
         self.below = np.arange(blocks)[:, None] < row_block[None, :]
         # diag_log[r, i, k] = -log(y_i + y_k) within block r.
         self.diag_log = -np.logaddexp(tiled[:, :, None], tiled[:, None, :])
+        for a in vars(self).values():
+            if isinstance(a, np.ndarray):
+                a.setflags(write=False)
 
     def contract(self, log_c: np.ndarray) -> np.ndarray:
         """log of the sum over k of e^(log_c[k]) / (y_j + y_k), at every node j."""
@@ -238,14 +251,16 @@ class _LevelKernel:
         lower_top = _finite_max(weights, axis=1)
         upper_top = _finite_max(upper, axis=1)
         lower = np.exp(weights - lower_top)
-        upper = np.exp(upper - upper_top)
+        upper -= upper_top
+        np.exp(upper, out=upper)
         # terms[b, j]: log of the sum over block b at row j, first as if every
         # tile were far, where B is all ones and the product is a block sum.
         with np.errstate(divide="ignore"):
             far_lower = np.log(lower.sum(axis=1, keepdims=True)) + lower_top
             far_upper = np.log(upper.sum(axis=1, keepdims=True)) + upper_top
-            terms = np.where(
-                self.below, far_lower - self.tiled.reshape(-1), far_upper
+            terms = np.where(self.below, far_lower, far_upper)
+            np.subtract(
+                terms, self.tiled.reshape(-1), out=terms, where=self.below
             )
             near = np.matmul(self.tiles, lower[self.cols, :, None])[:, :, 0]
             mirror = np.matmul(
@@ -277,10 +292,16 @@ def _tree_log_weights(
     """
     log_c = log_w - assign.value_of(tree.decoration) * log_y
     for child in tree.children:
-        log_c = log_c + kernel.contract(
+        log_c += kernel.contract(
             _tree_log_weights(child, assign, log_y, log_w, kernel)
         )
     return log_c
+
+
+@functools.lru_cache(maxsize=None)
+def _level_kernel(level: int) -> _LevelKernel:
+    """The kernel of one refinement level, built on the level's first use."""
+    return _LevelKernel(_de_grid(level)[0])
 
 
 def _forest_log_value(
@@ -289,11 +310,10 @@ def _forest_log_value(
     log_x: float,
     log_y: np.ndarray,
     log_w: np.ndarray,
+    kernel: Optional[_LevelKernel],
 ) -> float:
     """log of the nested-integral value of a forest at the point e^log_x."""
     import numpy as np
-    # Only vertices with children integrate against the kernel.
-    kernel = _LevelKernel(log_y) if any(t.children for t in trees) else None
     to_root = -np.logaddexp(log_y, log_x)
     return sum(
         float(_logsumexp(
@@ -352,7 +372,11 @@ def quad_tree(
                 f" {level}, which needs {entries} kernel entries"
                 f" (limit {MAX_QUAD_KERNEL})"
             )
-        log_value = _forest_log_value(forest.trees, assign, log_x, log_y, log_w)
+        # Only vertices with children integrate against the kernel.
+        kernel = _level_kernel(level) if contractions else None
+        log_value = _forest_log_value(
+            forest.trees, assign, log_x, log_y, log_w, kernel
+        )
         try:
             value = float(math.exp(log_value))
         except OverflowError:

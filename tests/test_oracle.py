@@ -169,8 +169,26 @@ def dense_contraction(log_y, log_c):
     return top + np.log(np.exp(terms - top[:, None]).sum(axis=1))
 
 
+@pytest.fixture
+def kernel_builds(monkeypatch):
+    """Levels whose kernel is built, in order, starting from an empty cache."""
+    levels = range(oracle.MAX_REFINEMENTS + 1)
+    level_of = {len(oracle._de_grid(k)[0]): k for k in levels}
+    built = []
+    build = oracle._LevelKernel
+
+    def recording_kernel(log_y):
+        built.append(level_of[len(log_y)])
+        return build(log_y)
+
+    monkeypatch.setattr(oracle, "_LevelKernel", recording_kernel)
+    oracle._level_kernel.cache_clear()
+    yield built
+    oracle._level_kernel.cache_clear()
+
+
 class TestLevelKernel:
-    @pytest.mark.parametrize("level", [3, 4, 5, 6])
+    @pytest.mark.parametrize("level", [0, 1, 2, 3, 4, 5, 6])
     def test_contraction_matches_dense_log_space(self, level):
         import numpy as np
 
@@ -223,6 +241,52 @@ class TestLevelKernel:
         )
         assert held <= 0.25 * m**2
 
+    def test_cached_kernel_is_read_only(self):
+        import numpy as np
+
+        kernel = oracle._level_kernel(3)
+        arrays = [
+            a for a in vars(kernel).values() if isinstance(a, np.ndarray)
+        ]
+        before = [a.tobytes() for a in arrays]
+        log_y, log_w = oracle._de_grid(3)
+        kernel.contract(log_w - 0.4 * log_y)
+        assert [a.tobytes() for a in arrays] == before
+        for a in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                a.flat[0] = a.flat[0]
+
+    def test_one_kernel_per_level_visited(self, kernel_builds):
+        quad_single(0.5, 1.0)  # a lone root contracts nothing
+        assert kernel_builds == []
+        f, _ = parse_forest("(1 (1) (1 (1)))")
+        assign = NumericAssignment({0: 0.1, 1: 0.15, 2: 0.1, 3: 0.12})
+        first = quad_tree(f, assign, 2.0)
+        assert kernel_builds == [0, 1, 2, 3, 4, 5]
+        assert oracle._level_kernel.cache_info().currsize == 6
+        # a second call at the same levels builds no kernel
+        assert quad_tree(f, assign, 2.0) == first
+        assert kernel_builds == [0, 1, 2, 3, 4, 5]
+
+    def test_refused_level_builds_no_kernel(self, kernel_builds):
+        f, _ = parse_forest("(1 " * 50 + ")" * 50)
+        assign = admissible_assignment(f, random.Random(0))
+        with pytest.raises(ConvergenceFailure, match="before refinement 5"):
+            quad_tree(f, assign, 1.0)
+        assert kernel_builds == [0, 1, 2, 3, 4]
+
+    def test_no_level_past_6_is_cached(self, monkeypatch, kernel_builds):
+        # A level is refused before its kernel is built, and at level 7 one
+        # contraction alone exceeds the bound.
+        assert len(oracle._de_grid(6)[0]) ** 2 <= oracle.MAX_QUAD_KERNEL
+        assert len(oracle._de_grid(7)[0]) ** 2 > oracle.MAX_QUAD_KERNEL
+        monkeypatch.setattr(oracle, "REL_TOL", -1.0)
+        monkeypatch.setattr(oracle, "ABS_TOL", -1.0)
+        f, _ = parse_forest("(1 (1))")
+        with pytest.raises(ConvergenceFailure, match="before refinement 7"):
+            quad_tree(f, NumericAssignment({0: 0.2, 1: 0.3}), 1.0)
+        assert kernel_builds == [0, 1, 2, 3, 4, 5, 6]
+
     def test_no_memory_kept_across_calls(self):
         f, _ = parse_forest("(1 (1) (1 (1)))")
         assign = NumericAssignment({0: 0.1, 1: 0.15, 2: 0.1, 3: 0.12})
@@ -237,7 +301,8 @@ class TestLevelKernel:
         finally:
             tracemalloc.stop()
             gc.enable()
-        # one level-5 kernel alone is over 2 MB
+        # the first call cached the kernels of levels 0-5 (2.7 MB); what a
+        # call allocates beyond them, 0.9 MB at level 5, must not stay
         assert grown < 100_000, f"{grown} bytes still held after 10 calls"
 
 
