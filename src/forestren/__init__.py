@@ -33,7 +33,6 @@ _EXPORTS = {
         "canonical",
         "check_properly_decorated",
         "concat",
-        "decompose",
         "degree",
         "forest_shapes",
         "from_shape",
@@ -57,8 +56,10 @@ _EXPORTS = {
     "projector": (
         "GermFraction",
         "ProjectionContext",
+        "TruncSeries",
         "ev0_piplus",
         "ev0_piplus_direct",
+        "h_series",
         "piplus_expand",
         "project_coeffs",
     ),
@@ -71,7 +72,7 @@ _EXPORTS = {
         "regularize",
         "renormalize",
     ),
-    "series": ("PiPoly", "TruncSeries", "h_series"),
+    "series": ("PiPoly",),
     "oracle": (
         "NumericAssignment",
         "admissible_assignment",

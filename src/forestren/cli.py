@@ -6,17 +6,20 @@ stderr.  Every library error and every file error prints one ``error:``
 line and exits 1, except a locality or proper-decoration violation or a
 singular Gram system, which exit 2 (as does an argparse usage error, such as
 an option the command does not take), and a failed numeric check, which
-exits 3.  Exit 0 is success.  A call imports only what its command runs:
-the oracle and numpy for ``quad-check``, and the telescoping reference of
-:mod:`forestren.projector` for ``germ``; the other commands compile the
-region engine alone.  No command loads mpmath, since a float rendering is
-computed with ints, nor ``dataclasses``, since the package defines none.
+exits 3.  Exit 0 is success; :func:`run` sends usage errors to ``err`` and
+``--help`` to ``out``.  A call imports only what its command runs: the
+oracle and numpy for ``quad-check``, and the telescoping reference of
+:mod:`forestren.projector`, with its truncated series, for ``germ``; the
+other commands compile the region engine and ``PiPoly`` alone.  No command
+loads mpmath, since a float rendering is computed with ints, nor
+``dataclasses``, since the package defines none.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from typing import Optional
 
 from .errors import (
@@ -239,11 +242,15 @@ _COMMANDS = {
 
 
 def run(argv: Optional[list[str]] = None, out=None, err=None) -> int:
-    """Run one CLI invocation; returns the exit code."""
+    """Run one CLI invocation; returns the exit code, of usage errors too."""
     out = sys.stdout if out is None else out
     err = sys.stderr if err is None else err
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            args = parser.parse_args(argv)
+    except SystemExit as exc:
+        return exc.code
     try:
         _COMMANDS[args.command](args, out)
     except (ForestrenError, OSError) as exc:

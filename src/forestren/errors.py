@@ -20,7 +20,7 @@ class TruncationBelowDegree(ForestrenError, ValueError):
 
 
 class NumeratorTooLarge(ForestrenError, ValueError):
-    """A numerator slice with more terms than renormalization will build."""
+    """A numerator larger than the computation asked to build it admits."""
 
 
 class NonPositiveWeight(ForestrenError):

@@ -4,7 +4,9 @@ Forests are commutative multisets of non-planar rooted trees; every vertex
 carries a linear-form decoration and an id that later names its series
 variable.  Construction is locality-guarded: concatenation and grafting
 demand Q-orthogonality, mirroring the partial product and partial grafting
-action of the underlying operated structure.
+action of the underlying operated structure; the fold of
+:mod:`forestren.universal` reads a forest's unique decomposition off its
+``trees`` and their ``children``.
 
 The module also owns proper-decoration validation and the Gram matrix of
 the subtree sums, the text grammar (canonical weight mode and explicit
@@ -17,7 +19,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterator, Optional, Sequence, Union
+from typing import Callable, Iterator, Optional, Sequence
 
 from .errors import (
     LocalityViolation,
@@ -163,51 +165,6 @@ def graft(
     elif root_id in vertex_ids(forest):
         raise ValueError(f"root id {root_id} already used in the forest")
     return DecoratedTree(root_id, omega, forest.trees)
-
-
-class Empty(Frozen):
-    """Decomposition case: the unit forest."""
-
-    __slots__ = ()
-
-
-class Product(Frozen):
-    """Decomposition case: a product of at least two trees."""
-
-    __slots__ = _fields = ("factors",)
-    factors: tuple[DecoratedTree, ...]
-
-    def __init__(self, factors: tuple[DecoratedTree, ...]) -> None:
-        object.__setattr__(self, "factors", factors)
-
-
-class Grafted(Frozen):
-    """Decomposition case: a single tree, recorded as a graft."""
-
-    __slots__ = _fields = ("omega", "inner", "root_id")
-    omega: LinearForm
-    inner: DecoratedForest
-    root_id: VertexId
-
-    def __init__(
-        self, omega: LinearForm, inner: DecoratedForest, root_id: VertexId
-    ) -> None:
-        object.__setattr__(self, "omega", omega)
-        object.__setattr__(self, "inner", inner)
-        object.__setattr__(self, "root_id", root_id)
-
-
-Decomposition = Union[Empty, Product, Grafted]
-
-
-def decompose(forest: DecoratedForest) -> Decomposition:
-    """The unique way a forest arises: unit, product, or a single graft."""
-    if not forest.trees:
-        return Empty()
-    if len(forest.trees) > 1:
-        return Product(forest.trees)
-    t = forest.trees[0]
-    return Grafted(t.decoration, DecoratedForest(t.children), t.root_id)
 
 
 def subtree_sums(forest: DecoratedForest) -> dict[VertexId, LinearForm]:
@@ -571,40 +528,24 @@ def serialize(forest: DecoratedForest, Q: InnerProduct) -> str:
 Shape = tuple  # recursive: tuple of child Shapes
 
 
-@lru_cache(maxsize=None)
 def tree_shapes(n: int) -> tuple[Shape, ...]:
-    """All rooted-tree shapes with exactly n vertices, canonically sorted."""
-    if n < 1:
-        return ()
-    return tuple(sorted(forest_shapes(n - 1)))
+    """All rooted-tree shapes with exactly n vertices, canonically sorted:
+    the forest shapes of the root's children."""
+    return forest_shapes(n - 1) if n >= 1 else ()
 
 
 @lru_cache(maxsize=None)
 def forest_shapes(n: int) -> tuple[Shape, ...]:
-    """All forest shapes (multisets of tree shapes) with exactly n vertices."""
+    """All forest shapes (multisets of tree shapes) with exactly n vertices:
+    each a tree of some size k beside a forest of n - k, sorted."""
     if n == 0:
         return ((),)
-    # Trees of every size up to n, in a fixed global order; choose a
-    # nondecreasing sequence whose sizes sum to n.
-    pool: list[tuple[int, Shape]] = []
-    for s in range(1, n + 1):
-        pool.extend((s, t) for t in tree_shapes(s))
-    results: list[Shape] = []
-
-    def rec(remaining: int, start: int, acc: list[Shape]) -> None:
-        if remaining == 0:
-            results.append(tuple(sorted(acc)))
-            return
-        for k in range(start, len(pool)):
-            size, shape = pool[k]
-            if size > remaining:
-                continue
-            acc.append(shape)
-            rec(remaining - size, k, acc)
-            acc.pop()
-
-    rec(n, 0, [])
-    return tuple(sorted(set(results)))
+    return tuple(sorted({
+        tuple(sorted((tree_, *rest)))
+        for k in range(1, n + 1)
+        for tree_ in tree_shapes(k)
+        for rest in forest_shapes(n - k)
+    }))
 
 
 def shape_size(shape: Shape) -> int:

@@ -27,7 +27,12 @@ import random
 from fractions import Fraction
 from typing import TYPE_CHECKING, Mapping, Optional, Sequence
 
-from .errors import ConvergenceFailure, DomainError, IndexOutOfRange
+from .errors import (
+    ConvergenceFailure,
+    DomainError,
+    IndexOutOfRange,
+    NumeratorTooLarge,
+)
 from .forest import (
     DecoratedForest,
     DecoratedTree,
@@ -38,8 +43,14 @@ from .forest import (
     vertex_ids,
 )
 from .pairing import Frozen, InnerProduct, LinearForm, basis
-from .projector import GermFraction, ProjectionContext, ev0_piplus
-from .series import PiPoly, TruncSeries, h_series
+from .projector import (
+    GermFraction,
+    ProjectionContext,
+    TruncSeries,
+    ev0_piplus,
+    h_series,
+)
+from .series import PiPoly
 
 if TYPE_CHECKING:  # numpy loads on the first quadrature call, not on import
     import numpy as np
@@ -457,7 +468,9 @@ def renorm_subset_oracle(
     at zero.  At most n + 1 numerators are alive at once.
     """
     if degree(forest) > 12:
-        raise ValueError("subset oracle is limited to forests of degree <= 12")
+        raise NumeratorTooLarge(
+            "subset oracle is limited to forests of degree <= 12"
+        )
     variables = vertex_ids(forest)
     n = len(variables)
     ctx = ProjectionContext(gram(forest, Q))

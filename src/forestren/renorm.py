@@ -34,7 +34,7 @@ from .forest import (
 )
 from .pairing import Frozen, InnerProduct, LinearForm, inner
 from .region import Nesting, ev0_tree
-from .series import ONE_PIPOLY, ZERO_PIPOLY, PiPoly, TruncSeries, h_series
+from .series import ONE_PIPOLY, ZERO_PIPOLY, PiPoly
 
 if TYPE_CHECKING:
     # mpmath loads only for ``numeric``; rendering needs none.  The
@@ -148,7 +148,12 @@ def expand_r1(
     vertex.  The context carries the Gram matrix of the subtree sums, whose
     :func:`gram` validates the forest.
     """
-    from .projector import GermFraction, ProjectionContext
+    from .projector import (
+        GermFraction,
+        ProjectionContext,
+        TruncSeries,
+        h_series,
+    )
 
     ctx = ProjectionContext(gram(forest, Q))
     N = _require_trunc(forest, N)

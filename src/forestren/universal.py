@@ -4,7 +4,8 @@ Properly decorated forests form the initial object among commutative monoids
 that carry a compatible partial product and a partial grafting action, both
 guarded by an independence relation.  Consequently a forest can be evaluated
 into any such target by one structural recursion: the unit maps to the
-target unit, products to products, and a graft to the target action.  The
+target unit, products to products, and a graft to the target action; each
+tree is its root decoration grafted onto the forest of its children.  The
 fold checks every required independence at runtime instead of assuming it,
 so it is usable with arbitrary user-supplied targets.
 """
@@ -15,7 +16,7 @@ from abc import ABC, abstractmethod
 from typing import Callable, Generic, TypeVar
 
 from .errors import LocalityViolation
-from .forest import DecoratedForest, Empty, Grafted, Product, decompose
+from .forest import DecoratedForest
 from .pairing import (
     ZERO_FORM,
     Frozen,
@@ -64,28 +65,23 @@ def fold(forest: DecoratedForest, target: OperatedLocalityTarget[T]) -> T:
     Raises LocalityViolation at the first failed independence check, naming
     the offending subforest.
     """
-    dec = decompose(forest)
-    if isinstance(dec, Empty):
+    if not forest.trees:
         return target.unit()
-    if isinstance(dec, Product):
-        acc = fold(DecoratedForest((dec.factors[0],)), target)
-        for t in dec.factors[1:]:
-            val = fold(DecoratedForest((t,)), target)
-            if not target.independent(acc, val):
-                raise LocalityViolation(
-                    f"images of the tree rooted at {t.root_id} and of its "
-                    "preceding factors are not independent in the target"
-                )
-            acc = target.product(acc, val)
-        return acc
-    assert isinstance(dec, Grafted)
-    val = fold(dec.inner, target)
-    if not target.action_independent(dec.omega, val):
-        raise LocalityViolation(
-            f"decoration of vertex {dec.root_id} is not independent of the "
-            "image of its children"
-        )
-    return target.action(dec.omega, val)
+    for i, t in enumerate(forest.trees):  # a tree, then its product
+        val = fold(DecoratedForest(t.children), target)
+        if not target.action_independent(t.decoration, val):
+            raise LocalityViolation(
+                f"decoration of vertex {t.root_id} is not independent of the "
+                "image of its children"
+            )
+        val = target.action(t.decoration, val)
+        if i and not target.independent(acc, val):
+            raise LocalityViolation(
+                f"images of the tree rooted at {t.root_id} and of its "
+                "preceding factors are not independent in the target"
+            )
+        acc = target.product(acc, val) if i else val
+    return acc
 
 
 class SymbolicIntegralTarget(

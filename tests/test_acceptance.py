@@ -31,9 +31,9 @@ from forestren import (
     symbolic_integral_target,
 )
 from forestren.forest import degree, from_shape, shape_size, vertex_ids
-from forestren.projector import GermFraction
+from forestren.projector import GermFraction, TruncSeries
 from forestren.renorm import expand_r1
-from forestren.series import ONE_PIPOLY, TruncSeries
+from forestren.series import ONE_PIPOLY
 
 import helpers
 

@@ -347,9 +347,12 @@ class TestErrorPaths:
         f = put(workdir, "l2.forest", "(1 (1))")
         paths = [f, f] if command == "check-similar" else [f]
         value = "exact" if option == "--format" else "0"
-        with pytest.raises(SystemExit) as exc:
-            invoke([command, *paths, option, value])
-        assert exc.value.code == 2
+        rc, out, err = invoke([command, *paths, option, value])
+        assert (rc, out) == (2, "")
+        assert err.startswith("usage: forestren ")
+        assert err.splitlines()[-1] == (
+            f"forestren: error: unrecognized arguments: {option} {value}"
+        )
 
     @pytest.mark.parametrize("command", ["renorm", "regularize"])
     def test_deep_nesting_exit_1(self, workdir, command):
@@ -435,3 +438,25 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert proc.stdout == "pi^2/4\n"
+
+    def test_installed_script_usage_and_help(self, workdir):
+        f = put(workdir, "l2.forest", "(1 (1))")
+
+        def script(*argv):
+            return subprocess.run(
+                [sys.executable, "-c", "from forestren.cli import main; main()",
+                 *argv],
+                capture_output=True,
+                text=True,
+            )
+
+        proc = script("renorm", str(workdir / f), "--seed", "0")
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr.splitlines() == [
+            "usage: forestren [-h] {renorm,regularize,germ,check-similar,"
+            "quad-check} ...",
+            "forestren: error: unrecognized arguments: --seed 0",
+        ]
+        proc = script("--help")
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout.startswith("usage: forestren ")

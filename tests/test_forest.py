@@ -14,7 +14,6 @@ from forestren import (
     basis,
     canonical,
     concat,
-    decompose,
     degree,
     forest_shapes,
     form,
@@ -27,9 +26,6 @@ from forestren import (
 )
 from forestren.forest import (
     MAX_NESTING,
-    Empty,
-    Grafted,
-    Product,
     forest_of,
     shape_size,
     tree,
@@ -274,20 +270,6 @@ class TestCanonical:
 
 
 class TestStructure:
-    def test_decompose_cases(self):
-        assert isinstance(decompose(EMPTY_FOREST), Empty)
-
-        f, _ = parse_forest("(1 (2))")
-        d = decompose(f)
-        assert isinstance(d, Grafted)
-        assert d.omega == basis(0)
-        assert degree(d.inner) == 1
-
-        f, _ = parse_forest("(1) (2)")
-        d = decompose(f)
-        assert isinstance(d, Product)
-        assert len(d.factors) == 2
-
     def test_graft_extends_degree(self):
         f, Q0 = parse_forest("(1) (2)")
         Q = helpers.merge_diagonal(Q0, InnerProduct.diagonal({5: Fraction(3)}))
@@ -349,9 +331,9 @@ class TestShapeCatalog:
         assert [len(tree_shapes(n)) for n in range(1, 7)] == [1, 1, 2, 4, 9, 20]
 
     def test_forest_shape_counts(self):
-        # unlabeled rooted forests: 1, 2, 4, 9, 20, 48, 115, 286
-        counts = [len(forest_shapes(n)) for n in range(1, 9)]
-        assert counts == [1, 2, 4, 9, 20, 48, 115, 286]
+        # unlabeled rooted forests: 1, 2, 4, 9, 20, 48, 115, 286, ...
+        counts = [len(forest_shapes(n)) for n in range(1, 12)]
+        assert counts == [1, 2, 4, 9, 20, 48, 115, 286, 719, 1842, 4766]
 
     def test_shapes_are_distinct_forests(self):
         seen = set()

@@ -9,8 +9,7 @@ import pytest
 
 import forestren
 
-# The public names as the package exported them when it imported every
-# submodule eagerly, by defining submodule.
+# The public names, grouped under the submodule that defines them.
 EXPORTED = {
     "errors": [
         "ConvergenceFailure", "DomainError", "ForestrenError",
@@ -21,23 +20,23 @@ EXPORTED = {
     ],
     "forest": [
         "DecoratedForest", "DecoratedTree", "EMPTY_FOREST", "canonical",
-        "check_properly_decorated", "concat", "decompose", "degree",
-        "forest_shapes", "from_shape", "graft", "gram", "gram_from_inner",
-        "parse_forest", "serialize", "subtree_sums", "tree_shapes",
+        "check_properly_decorated", "concat", "degree", "forest_shapes",
+        "from_shape", "graft", "gram", "gram_from_inner", "parse_forest",
+        "serialize", "subtree_sums", "tree_shapes",
     ],
     "pairing": [
         "GramMatrix", "InnerProduct", "LinearForm", "basis", "form", "inner",
         "is_independent",
     ],
     "projector": [
-        "GermFraction", "ProjectionContext", "ev0_piplus",
-        "ev0_piplus_direct", "piplus_expand", "project_coeffs",
+        "GermFraction", "ProjectionContext", "TruncSeries", "ev0_piplus",
+        "ev0_piplus_direct", "h_series", "piplus_expand", "project_coeffs",
     ],
     "renorm": [
         "RegularizedIntegral", "RenormalizedValue", "expand_r1", "is_similar",
         "r1", "regularize", "renormalize",
     ],
-    "series": ["PiPoly", "TruncSeries", "h_series"],
+    "series": ["PiPoly"],
     "oracle": [
         "NumericAssignment", "admissible_assignment",
         "closed_form_value", "quad_single", "quad_tree",

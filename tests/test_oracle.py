@@ -20,6 +20,7 @@ from forestren import (
     IndexOutOfRange,
     InnerProduct,
     NumericAssignment,
+    NumeratorTooLarge,
     PiPoly,
     ProjectionContext,
     TruncSeries,
@@ -440,8 +441,9 @@ class TestSubsetOracle:
     def test_degree_cap(self):
         shape = helpers.ladder_shape(13)
         f, Q = from_shape(shape, [1] * 13)
-        with pytest.raises(ValueError):
+        with pytest.raises(NumeratorTooLarge, match="degree <= 12") as info:
             renorm_subset_oracle(f, Q)
+        assert isinstance(info.value, ValueError)
 
 
 def test_import_does_not_load_numpy():

@@ -139,16 +139,24 @@ class TestLocalityGuards:
         # A constant map collapses the two leaves onto the same axis: their
         # images pair nontrivially, so the product step must refuse.
         f, Q = parse_forest("(1 (1) (1))")
-        with pytest.raises(LocalityViolation):
+        with pytest.raises(LocalityViolation) as info:
             branched(lambda x: basis(1), f, Q)
+        assert str(info.value) == (
+            "images of the tree rooted at 2 and of its preceding factors are"
+            " not independent in the target"
+        )
 
     def test_improper_decoration_is_caught_mid_fold(self):
         f, _ = parse_forest("(1 (1))")
         skew = InnerProduct.from_matrix(
             [[1, Fraction(1, 2)], [Fraction(1, 2), 1]]
         )
-        with pytest.raises(LocalityViolation):
+        with pytest.raises(LocalityViolation) as info:
             fold(f, symbolic_integral_target(skew))
+        assert str(info.value) == (
+            "decoration of vertex 0 is not independent of the image of its"
+            " children"
+        )
 
     def test_custom_target_checks_run_eagerly(self):
         calls = []
@@ -161,3 +169,27 @@ class TestLocalityGuards:
         f, Q = parse_forest("(1 (1))")
         fold(f, Recorder(lambda x: x, Q))
         assert len(calls) == 2
+
+    def test_calls_follow_the_forest_structure(self):
+        # each tree folds its children, then its root acts; trees multiply
+        # left to right, each checked against the product so far
+        calls = []
+
+        class Recorder(BetaPhiTarget):
+            pass
+
+        for name in ("unit", "independent", "product", "action_independent",
+                     "action"):
+            def record(self, *args, _name=name):
+                calls.append(_name)
+                return getattr(BetaPhiTarget, _name)(self, *args)
+            setattr(Recorder, name, record)
+
+        f, Q = parse_forest("(1 (1)) (1)")
+        assert fold(f, Recorder(lambda x: x, Q)) == form({0: 1, 1: 1, 2: 1})
+        graft_leaf = ["unit", "action_independent", "action"]
+        assert calls == [
+            *graft_leaf, "action_independent", "action",  # tree rooted at 0
+            *graft_leaf,  # tree rooted at 2
+            "independent", "product",
+        ]

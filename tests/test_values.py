@@ -30,7 +30,6 @@ from forestren import (
     TruncSeries,
     VariableMismatch,
 )
-from forestren.forest import Empty, Grafted, Product
 
 HALF = Fraction(1, 2)
 FORM = LinearForm(((0, Fraction(1)), (2, HALF)))
@@ -55,9 +54,6 @@ CASES = [
     (TruncSeries, {"variables": (0, 1), "trunc": 2, "terms": {(1, 0): POLY}}),
     (DecoratedTree, {"root_id": 0, "decoration": FORM, "children": (LEAF,)}),
     (DecoratedForest, {"trees": (TREE, LEAF)}),
-    (Empty, {}),
-    (Product, {"factors": (TREE, LEAF)}),
-    (Grafted, {"omega": FORM, "inner": DecoratedForest((LEAF,)), "root_id": 0}),
     (GermFraction, {"numerator": SERIES, "poles": frozenset({0})}),
     (RegularizedIntegral, {"exponent": FORM, "factors": (FORM,)}),
     (RenormalizedValue, {"exact": POLY}),
