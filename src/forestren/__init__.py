@@ -16,6 +16,7 @@ _EXPORTS = {
         "DomainError",
         "ForestrenError",
         "IndexOutOfRange",
+        "InvalidArgument",
         "LocalityViolation",
         "NonPositiveWeight",
         "NotDivisible",
@@ -45,7 +46,6 @@ _EXPORTS = {
         "tree_shapes",
     ),
     "pairing": (
-        "GramMatrix",
         "InnerProduct",
         "LinearForm",
         "basis",

@@ -23,6 +23,10 @@ class NumeratorTooLarge(ForestrenError, ValueError):
     """A numerator larger than the computation asked to build it admits."""
 
 
+class InvalidArgument(ForestrenError, ValueError):
+    """An argument that the called function does not accept."""
+
+
 class NonPositiveWeight(ForestrenError):
     """A vertex weight (self-pairing of its decoration) is zero or negative."""
 

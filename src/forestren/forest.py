@@ -8,10 +8,10 @@ action of the underlying operated structure; the fold of
 :mod:`forestren.universal` reads a forest's unique decomposition off its
 ``trees`` and their ``children``.
 
-The module also owns proper-decoration validation and the Gram matrix of
-the subtree sums, the text grammar (canonical weight mode and explicit
-vector mode), the order-independent canonical encoding, and a catalog of all
-forest shapes of a given size.
+The module also owns proper-decoration validation, the one walk that reads
+a forest's nesting and the Gram matrix of its subtree sums, the text
+grammar (canonical weight mode and explicit vector mode), the
+order-independent canonical encoding, and a catalog of all forest shapes.
 """
 
 from __future__ import annotations
@@ -19,9 +19,11 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from typing import Callable, Iterator, Optional, Sequence
 
 from .errors import (
+    InvalidArgument,
     LocalityViolation,
     NonPositiveWeight,
     NotProperlyDecorated,
@@ -29,7 +31,6 @@ from .errors import (
 )
 from .pairing import (
     Frozen,
-    GramMatrix,
     InnerProduct,
     LinearForm,
     Rational,
@@ -127,7 +128,7 @@ def concat(
     d2 = decorations(f2)
     shared = set(d1) & set(d2)
     if shared:
-        raise ValueError(
+        raise InvalidArgument(
             f"vertex ids {sorted(shared)} occur in both concatenation operands"
         )
     for v, a in d1.items():
@@ -163,7 +164,7 @@ def graft(
         ids = vertex_ids(forest)
         root_id = (max(ids) + 1) if ids else 0
     elif root_id in vertex_ids(forest):
-        raise ValueError(f"root id {root_id} already used in the forest")
+        raise InvalidArgument(f"root id {root_id} already used in the forest")
     return DecoratedTree(root_id, omega, forest.trees)
 
 
@@ -195,31 +196,42 @@ def check_properly_decorated(forest: DecoratedForest, Q: InnerProduct) -> bool:
     return True
 
 
-def gram(forest: DecoratedForest, Q: InnerProduct) -> GramMatrix:
+def gram(forest: DecoratedForest, Q: InnerProduct) -> InnerProduct:
     """Gram matrix of the subtree sums L_v, via the overlap formula.
 
     For a properly decorated forest, Q(L_v, L_w) is the sum of the
     self-pairings q_u = Q(d(u), d(u)) over the vertices u common to the two
     maximal subtrees: cross terms vanish by orthogonality, and two subtree
-    vertex sets are either nested or disjoint.  The weights come from
-    :func:`vertex_weights`, which raises on any other forest.
+    vertex sets are either nested or disjoint.  The matrix, an
+    :class:`InnerProduct` on the vertex ids, stores W_v = Q(L_v, L_v) at
+    (v, v) and W_d at each (ancestor a, descendant d).  The weights come
+    from :func:`vertex_weights`, which raises on any other forest.
     """
-    weights = vertex_weights(forest, Q)
-    sets: dict[VertexId, frozenset[VertexId]] = {}  # maximal subtree of each vertex
-    for node in reversed(list(iter_vertices(forest))):
-        acc = frozenset((node.root_id,))
-        for child in node.children:
-            acc |= sets[child.root_id]
-        sets[node.root_id] = acc
-    vertices = tuple(sorted(sets))
-    rows = tuple(
-        tuple(
-            sum((weights[u] for u in sets[v] & sets[w]), Fraction(0))
-            for w in vertices
-        )
-        for v in vertices
-    )
-    return GramMatrix(vertices, rows)
+    total, pairs, den = _laminar(forest, vertex_weights(forest, Q))
+    stored = [((v, v), total[v]) for v in total]
+    stored += [((min(a, d), max(a, d)), total[d]) for a, d in pairs]
+    entries = tuple((ij, Fraction(w, den)) for ij, w in sorted(stored))
+    return InnerProduct(tuple(sorted(total)), entries)
+
+
+def _laminar(
+    forest: DecoratedForest, weights: dict[VertexId, Fraction]
+) -> tuple[dict[VertexId, int], list[tuple[VertexId, VertexId]], int]:
+    """One walk: the subtree weights W_v as ints over their common
+    denominator, every (ancestor, descendant) pair, and that denominator,
+    the lcm of the denominators of the vertex ``weights``."""
+    nodes = list(iter_vertices(forest))
+    den = lcm(*(weights[node.root_id].denominator for node in nodes))
+    total: dict[VertexId, int] = {}
+    below: dict[VertexId, list[VertexId]] = {}  # strict descendants
+    for node in reversed(nodes):  # children before parents
+        v, w = node.root_id, weights[node.root_id]
+        total[v] = w.numerator * (den // w.denominator)
+        below[v] = []
+        for c in node.children:
+            total[v] += total[c.root_id]
+            below[v] += [c.root_id, *below[c.root_id]]
+    return total, [(a, d) for a, ds in below.items() for d in ds], den
 
 
 def vertex_weights(
@@ -229,9 +241,10 @@ def vertex_weights(
 
     The pipeline's one validation: :func:`gram`, ``regularize`` and
     ``renormalize`` check nothing else.  Raises :class:`NotProperlyDecorated`
-    unless :func:`check_properly_decorated` holds, then ``ValueError`` at the
-    first repeated vertex id and :class:`NonPositiveWeight` at the first
-    vertex whose weight is not positive.
+    unless :func:`check_properly_decorated` holds, then
+    :class:`InvalidArgument`, a ``ValueError``, at the first repeated vertex
+    id and :class:`NonPositiveWeight` at the first vertex whose weight is not
+    positive.
     """
     if not check_properly_decorated(forest, Q):
         raise NotProperlyDecorated(
@@ -240,7 +253,7 @@ def vertex_weights(
     weights: dict[VertexId, Fraction] = {}
     for node in iter_vertices(forest):
         if node.root_id in weights:
-            raise ValueError(f"vertex id {node.root_id} occurs twice")
+            raise InvalidArgument(f"vertex id {node.root_id} occurs twice")
         q = inner(Q, node.decoration, node.decoration)
         if q <= 0:
             raise NonPositiveWeight(
@@ -250,7 +263,7 @@ def vertex_weights(
     return weights
 
 
-def gram_from_inner(forest: DecoratedForest, Q: InnerProduct) -> GramMatrix:
+def gram_from_inner(forest: DecoratedForest, Q: InnerProduct) -> InnerProduct:
     """Gram matrix computed the direct way: Q applied to explicit subtree sums.
 
     Independent cross-check route for :func:`gram`; the two must agree on
@@ -258,10 +271,12 @@ def gram_from_inner(forest: DecoratedForest, Q: InnerProduct) -> GramMatrix:
     """
     sums = subtree_sums(forest)
     vertices = tuple(sorted(sums))
-    rows = tuple(
-        tuple(inner(Q, sums[v], sums[w]) for w in vertices) for v in vertices
+    pairings = (
+        ((v, w), inner(Q, sums[v], sums[w]))
+        for k, v in enumerate(vertices)
+        for w in vertices[k:]
     )
-    return GramMatrix(vertices, rows)
+    return InnerProduct(vertices, tuple(e for e in pairings if e[1] != 0))
 
 
 # --------------------------------------------------------------------------
@@ -565,7 +580,7 @@ def from_shape(
     """
     n = shape_size(shape)
     if len(weights) != n:
-        raise ValueError(f"shape needs {n} weights, got {len(weights)}")
+        raise InvalidArgument(f"shape needs {n} weights, got {len(weights)}")
     weight_iter = iter([Fraction(w) for w in weights])
     counter = [id_start]
     table: dict[int, Fraction] = {}

@@ -1,11 +1,13 @@
-"""Rational linear forms, inner products, and Gram matrices.
+"""Rational linear forms and inner products.
 
 Everything in this module is exact: coefficients are `fractions.Fraction`,
 and all predicates (orthogonality, positive definiteness) are decided by
 exact arithmetic, through one Gaussian elimination routine.  The
 independence relation used throughout the package is Q-orthogonality of
-linear forms.  Building the Gram matrix of a forest's subtree sums belongs
-to :mod:`forestren.forest`.  :class:`Frozen`, the value base of every
+linear forms.  The Gram matrix Q(L_v, L_w) of a forest's subtree sums is an
+:class:`InnerProduct` too, on the vertex ids, that is, the pairing Q induces
+on the coordinates z_v = L_v; building it belongs to
+:mod:`forestren.forest`.  :class:`Frozen`, the value base of every
 immutable class in the package, lives here because this is the lowest
 module that defines one.
 """
@@ -17,7 +19,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Mapping, Sequence, Union
 
-from .errors import IndexOutOfRange, SingularGram
+from .errors import IndexOutOfRange, InvalidArgument, SingularGram
 
 Rational = Union[Fraction, int]
 # Fractions are immutable, so every missing entry can share one zero.
@@ -174,7 +176,8 @@ class InnerProduct(Frozen):
 
     ``entries`` stores the upper triangle sparsely: ``((i, j), value)`` with
     ``i <= j`` and nonzero value.  Indices outside ``indices`` are rejected by
-    :func:`inner` with :class:`IndexOutOfRange`.
+    :func:`inner` with :class:`IndexOutOfRange`.  On the vertex ids of a
+    forest it is the Gram matrix of the subtree sums.
     """
 
     _fields = ("indices", "entries")
@@ -217,15 +220,16 @@ class InnerProduct(Frozen):
 
     @staticmethod
     def from_matrix(rows: Sequence[Sequence[Rational]]) -> "InnerProduct":
-        """Build from a dense symmetric matrix; raises ValueError if asymmetric."""
+        """Build from a dense symmetric matrix; raises InvalidArgument, a
+        ValueError, unless it is square and symmetric."""
         n = len(rows)
         mat = [[Fraction(x) for x in row] for row in rows]
         if any(len(row) != n for row in mat):
-            raise ValueError("matrix is not square")
+            raise InvalidArgument("matrix is not square")
         for i in range(n):
             for j in range(i + 1, n):
                 if mat[i][j] != mat[j][i]:
-                    raise ValueError(f"matrix is not symmetric at ({i},{j})")
+                    raise InvalidArgument(f"matrix is not symmetric at ({i},{j})")
         entries = tuple(
             ((i, j), mat[i][j])
             for i in range(n)
@@ -237,7 +241,7 @@ class InnerProduct(Frozen):
     def scaled(self, c: Rational) -> "InnerProduct":
         c = Fraction(c)
         if c == 0:
-            raise ValueError("inner product scale must be nonzero")
+            raise InvalidArgument("inner product scale must be nonzero")
         return InnerProduct(
             self.indices, tuple((ij, c * v) for ij, v in self.entries)
         )
@@ -245,10 +249,36 @@ class InnerProduct(Frozen):
     def is_diagonal(self) -> bool:
         return all(i == j for (i, j), _ in self.entries)
 
+    def _rows(self, sub: Sequence[int]) -> list[list[Fraction]]:
+        """The dense matrix restricted to the indices ``sub``, in that order."""
+        return [[self.entry(i, j) for j in sub] for i in sub]
+
     def is_positive_definite(self) -> bool:
-        """Sylvester's criterion on the dense matrix of the active set."""
-        idx = self.indices
-        return _positive_definite([[self.entry(i, j) for j in idx] for i in idx])
+        """Sylvester's criterion: with no row swap the pivots are the ratios of
+        successive leading principal minors; a zero pivot forces a swap."""
+        pivots, swaps = _eliminate(self._rows(self.indices))
+        return swaps == 0 and all(p > 0 for p in pivots)
+
+    def det(self) -> Fraction:
+        """The determinant of the dense matrix of the active set."""
+        pivots, swaps = _eliminate(self._rows(self.indices))
+        return math.prod(pivots, start=Fraction(-1 if swaps % 2 else 1))
+
+    def solve(self, sub: Sequence[int], rhs: Sequence[Fraction]) -> list[Fraction]:
+        """Solve (the matrix restricted to ``sub``) x = rhs exactly.
+
+        Raises SingularGram when the restricted matrix is singular; for the
+        Gram matrix of a properly decorated forest this cannot happen.
+        """
+        n = len(sub)
+        a = [row + [b] for row, b in zip(self._rows(sub), rhs)]
+        if 0 in _eliminate(a)[0]:
+            raise SingularGram("Gram subsystem is singular")
+        x: list[Fraction] = [Fraction(0)] * n
+        for i in reversed(range(n)):
+            row = a[i]
+            x[i] = (row[n] - sum(row[j] * x[j] for j in range(i + 1, n))) / row[i]
+        return x
 
 
 def _eliminate(a: list[list[Fraction]]) -> tuple[list[Fraction], int]:
@@ -281,13 +311,6 @@ def _eliminate(a: list[list[Fraction]]) -> tuple[list[Fraction], int]:
     return pivots, swaps
 
 
-def _positive_definite(a: list[list[Fraction]]) -> bool:
-    # A zero pivot forces a swap.  Without swaps the pivots are the ratios of
-    # successive leading principal minors, so all pivots > 0 iff all minors > 0.
-    pivots, swaps = _eliminate(a)
-    return swaps == 0 and all(p > 0 for p in pivots)
-
-
 def inner(Q: InnerProduct, a: LinearForm, b: LinearForm) -> Fraction:
     """The bilinear value Q(a, b)."""
     active = Q._active
@@ -309,65 +332,3 @@ def inner(Q: InnerProduct, a: LinearForm, b: LinearForm) -> Fraction:
 def is_independent(Q: InnerProduct, a: LinearForm, b: LinearForm) -> bool:
     """True iff a and b are Q-orthogonal (the locality relation)."""
     return inner(Q, a, b) == 0
-
-
-class GramMatrix(Frozen):
-    """A symmetric matrix Q(L_v, L_w) over labelled linear forms L_v.
-
-    ``vertices`` is sorted; ``rows`` is dense.  Positive definiteness holds
-    for the subtree sums of a properly decorated forest with positive
-    weights, and the exact solver below raises :class:`SingularGram`
-    otherwise.
-    """
-
-    _fields = ("vertices", "rows")
-    __slots__ = (*_fields, "__dict__")  # the cached property lives in __dict__
-    vertices: tuple[int, ...]
-    rows: tuple[tuple[Fraction, ...], ...]
-
-    def __init__(
-        self,
-        vertices: tuple[int, ...],
-        rows: tuple[tuple[Fraction, ...], ...],
-    ) -> None:
-        object.__setattr__(self, "vertices", vertices)
-        object.__setattr__(self, "rows", rows)
-
-    @cached_property
-    def _pos(self) -> dict[int, int]:
-        return {v: k for k, v in enumerate(self.vertices)}
-
-    def entry(self, v: int, w: int) -> Fraction:
-        return self.rows[self._pos[v]][self._pos[w]]
-
-    def scaled(self, c: Rational) -> "GramMatrix":
-        c = Fraction(c)
-        return GramMatrix(
-            self.vertices, tuple(tuple(c * x for x in row) for row in self.rows)
-        )
-
-    def det(self) -> Fraction:
-        pivots, swaps = _eliminate([list(row) for row in self.rows])
-        return math.prod(pivots, start=Fraction(-1 if swaps % 2 else 1))
-
-    def is_positive_definite(self) -> bool:
-        return _positive_definite([list(row) for row in self.rows])
-
-    def solve(self, sub: Sequence[int], rhs: Sequence[Fraction]) -> list[Fraction]:
-        """Solve (Gram restricted to ``sub``) x = rhs exactly.
-
-        Raises SingularGram when the restricted matrix is singular; for
-        properly decorated input this cannot happen.
-        """
-        n = len(sub)
-        a = [[self.entry(v, w) for w in sub] + [rhs[i]] for i, v in enumerate(sub)]
-        if 0 in _eliminate(a)[0]:
-            raise SingularGram("Gram subsystem is singular")
-        x: list[Fraction] = [Fraction(0)] * n
-        for i in reversed(range(n)):
-            row = a[i]
-            s = row[n]
-            for j in range(i + 1, n):
-                s -= row[j] * x[j]
-            x[i] = s / row[i]
-        return x

@@ -4,7 +4,7 @@ A :class:`GermFraction` stands for g(L_w, w in W) / prod_{v in V} L_v in the
 coordinates z_w = L_w, where the L_w are the subtree sums of a properly
 decorated forest (or any family with positive-definite Gram matrix).  The
 holomorphic projection works entirely in these coordinates; the only
-geometric input is the Gram matrix Q(L_v, L_w).
+geometric input is the Gram matrix Q(L_v, L_w) on the vertex ids.
 
 The recursion: decompose every slot as L_w = sum_v a_wv L_v + L'_w with L'_w
 orthogonal to the pole span, discard the polar part g(L')/prod L_v, and
@@ -34,8 +34,10 @@ from math import lcm, prod
 from operator import getitem
 from typing import TYPE_CHECKING, Mapping, Optional, Sequence
 
-from .errors import NotDivisible, SingularGram, VariableMismatch
-from .pairing import Frozen, GramMatrix, Rational
+from .errors import (
+    InvalidArgument, NotDivisible, SingularGram, VariableMismatch
+)
+from .pairing import Frozen, InnerProduct, Rational
 from .region import Nesting, _ev0_sum, _Packing
 from .series import (
     ONE_PIPOLY,
@@ -346,7 +348,7 @@ def h_series(
     set (default: just ``(v,)``).
     """
     if N < 1:
-        raise ValueError("h_series needs N >= 1")
+        raise InvalidArgument("h_series needs N >= 1")
     variables = (v,) if variables is None else tuple(variables)
     if v not in variables:
         raise VariableMismatch(f"variable {v} not among {variables}")
@@ -402,7 +404,7 @@ class ProjectionContext:
 
     def __init__(
         self,
-        gram: GramMatrix,
+        gram: InnerProduct,
         order_rng: Optional[random.Random] = None,
     ) -> None:
         if not gram.is_positive_definite():
@@ -437,7 +439,7 @@ def project_coeffs(
     the answer is the indicator vector without solving.
     """
     if not V:
-        raise ValueError("pole set must be non-empty")
+        raise InvalidArgument("pole set must be non-empty")
     if w in V:
         return {v: Fraction(1 if v == w else 0) for v in V}
     key = (V, w)
@@ -641,7 +643,7 @@ def ev0_piplus_direct(frac: GermFraction, ctx: ProjectionContext) -> PiPoly:
 
 def _require_vertices(frac: GermFraction, ctx: ProjectionContext) -> None:
     """Raise VariableMismatch unless every numerator variable is a vertex."""
-    extra = set(frac.numerator.variables).difference(ctx.gram.vertices)
+    extra = set(frac.numerator.variables).difference(ctx.gram.indices)
     if extra:
         raise VariableMismatch(
             f"numerator variables {sorted(extra)} are not vertices of the"
@@ -657,7 +659,7 @@ def piplus_expand(frac: GermFraction, ctx: ProjectionContext) -> TruncSeries:
     """
     _require_vertices(frac, ctx)
     if frac.numerator.trunc < len(frac.poles):
-        raise ValueError(
+        raise InvalidArgument(
             "numerator truncation must be at least the number of poles"
         )
     return _piplus(frac.numerator, frac.poles, ctx)

@@ -23,7 +23,7 @@ from .errors import NotProperlyDecorated
 from .series import PiPoly, VertexId, ZERO_PIPOLY, sinc_inverse_coeffs
 
 if TYPE_CHECKING:
-    from .pairing import GramMatrix
+    from .pairing import InnerProduct
 
 
 class Nesting(NamedTuple):
@@ -34,7 +34,8 @@ class Nesting(NamedTuple):
     ``weight[i]`` is W_v times the common denominator of all the W_v, an
     int: the value at zero does not change when every weight is scaled by
     one factor.  ``anc[i]`` and ``desc[i]`` are bit masks over positions of
-    the strict ancestors and descendants of position i.
+    the strict ancestors and descendants of position i.  :meth:`build` is
+    the one constructor; :meth:`of` feeds it from a Gram matrix.
     """
 
     pos: dict[VertexId, int]
@@ -43,43 +44,54 @@ class Nesting(NamedTuple):
     desc: tuple[int, ...]
 
     @staticmethod
-    def of(gram: GramMatrix) -> "Nesting":
+    def build(
+        total: dict[VertexId, int], pairs: Iterable[tuple[VertexId, VertexId]]
+    ) -> "Nesting":
+        """The nesting of the int weights ``total`` and the (ancestor,
+        descendant) ``pairs``, in which each ancestor is the heavier."""
+        order = sorted(total, key=lambda v: (-total[v], v))
+        pos = {v: i for i, v in enumerate(order)}
+        anc, desc = [0] * len(order), [0] * len(order)
+        for a, d in pairs:
+            anc[pos[d]] |= 1 << pos[a]
+            desc[pos[a]] |= 1 << pos[d]
+        weight = tuple(total[v] for v in order)
+        return Nesting(pos, weight, tuple(anc), tuple(desc))
+
+    @staticmethod
+    def of(gram: InnerProduct) -> "Nesting":
         """Read the nesting off ``gram``; raises NotProperlyDecorated.
 
         v lies below w iff Q(L_v, L_w) = W_v, two vertices in neither
         relation must pair to 0, and the ancestors of each vertex must form
         a chain.  With a positive-definite matrix these conditions say that
-        it is the Gram matrix of the subtree sums of a forest.
+        it is the Gram matrix of the subtree sums of a forest.  Only stored
+        entries are read, each equal to the weight of its lighter end.
         """
-        diag = {v: Fraction(gram.entry(v, v)) for v in gram.vertices}
+        diag = {v: Fraction(gram.entry(v, v)) for v in gram.indices}
         scale = lcm(*(w.denominator for w in diag.values()))
-        scaled = {v: int(w * scale) for v, w in diag.items()}
-        order = sorted(gram.vertices, key=lambda v: (-scaled[v], v))
-        n = len(order)
-        anc = [0] * n
-        desc = [0] * n
-        for i in range(n):
-            for j in range(i + 1, n):
-                g = gram.entry(order[i], order[j])
-                if g == diag[order[j]]:
-                    anc[j] |= 1 << i
-                    desc[i] |= 1 << j
-                elif g != 0:
-                    raise NotProperlyDecorated(
-                        f"not a Gram matrix of subtree sums: the entry {g} of"
-                        f" vertices {order[i]} and {order[j]} is neither 0"
-                        " nor the weight of one of them"
-                    )
-        for i in range(n):
-            parent = anc[i].bit_length() - 1
-            if parent >= 0 and anc[i] != 1 << parent | anc[parent]:
+        total = {v: int(w * scale) for v, w in diag.items()}
+        pairs = []
+        for (v, w), g in gram.entries:
+            if v == w or not g:
+                continue
+            a, d = (v, w) if (-total[v], v) < (-total[w], w) else (w, v)
+            if g != diag[d]:
+                raise NotProperlyDecorated(
+                    f"not a Gram matrix of subtree sums: the entry {g} of"
+                    f" vertices {a} and {d} is neither 0"
+                    " nor the weight of one of them"
+                )
+            pairs.append((a, d))
+        nest = Nesting.build(total, pairs)
+        for v, i in nest.pos.items():
+            parent = nest.anc[i].bit_length() - 1
+            if parent >= 0 and nest.anc[i] != 1 << parent | nest.anc[parent]:
                 raise NotProperlyDecorated(
                     "not a Gram matrix of subtree sums: the subtrees"
-                    f" containing vertex {order[i]} do not nest"
+                    f" containing vertex {v} do not nest"
                 )
-        pos = {v: i for i, v in enumerate(order)}
-        weight = tuple(scaled[v] for v in order)
-        return Nesting(pos, weight, tuple(anc), tuple(desc))
+        return nest
 
 
 # A state of the fast path is one int: bit p (p < n, the vertex count) says

@@ -7,27 +7,24 @@ list; expanding each factor as 1/z_v + h(z_v) and clearing denominators
 yields a single fraction with one simple pole per vertex, whose holomorphic
 projection at zero is the renormalized value: an exact polynomial in pi^2.
 The renormalized map is a locality character, so :func:`renormalize`
-evaluates a forest tree by tree and multiplies.
+evaluates a forest tree by tree, each over its walk's nesting, and multiplies.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import cached_property
 from typing import TYPE_CHECKING, Optional
 
 from .errors import NumeratorTooLarge, TruncationBelowDegree
 from .forest import (
     DecoratedForest,
-    DecoratedTree,
-    VertexId,
+    _laminar,
     canonical,
     decorations,
     degree,
     forest_of,
     gram,
-    iter_vertices,
     subtree_sums,
     vertex_ids,
     vertex_weights,
@@ -178,7 +175,8 @@ def renormalize(
     of degree n gives a rational multiple of pi^n, and 0 when n is odd: its
     numerator prod_v (1 + z_v h(z_v)) has only even-degree terms, and only
     those of degree exactly n reach the value, so :func:`ev0_tree` projects
-    just those, given the :class:`Nesting` read off the tree.  Unless some
+    just those, over the :class:`Nesting` that :meth:`Nesting.build` makes
+    from the tree's walk, the one :func:`gram` reads.  Unless some
     tree is odd, a slice of more than :data:`MAX_SLICE_TERMS` terms (a tree
     of degree 16 or more) raises :class:`NumeratorTooLarge` before any
     projection.  ``N`` must be at least the forest degree but does not
@@ -199,32 +197,9 @@ def renormalize(
             )
     value = ONE_PIPOLY
     for t in forest.trees:
-        value = value * ev0_tree(_tree_nesting(t, weights))
+        total, pairs, _ = _laminar(forest_of(t), weights)
+        value = value * ev0_tree(Nesting.build(total, pairs))
     return RenormalizedValue.from_exact(value)
-
-
-def _tree_nesting(
-    tree: DecoratedTree, weights: dict[VertexId, Fraction]
-) -> Nesting:
-    """The :class:`Nesting` of one tree, ordered and scaled to ints as
-    :meth:`Nesting.of` does: the common denominator of the vertex weights
-    is that of the subtree weights."""
-    nodes = list(iter_vertices(forest_of(tree)))
-    scale = math.lcm(*(weights[node.root_id].denominator for node in nodes))
-    below: dict[VertexId, frozenset[VertexId]] = {}  # strict descendants
-    total: dict[VertexId, int] = {}
-    for node in reversed(nodes):
-        v = node.root_id
-        kids = [c.root_id for c in node.children]
-        below[v] = frozenset().union(*(below[c] | {c} for c in kids))
-        w = weights[v]
-        own = w.numerator * (scale // w.denominator)
-        total[v] = sum((total[c] for c in kids), own)
-    order = sorted(total, key=lambda v: (-total[v], v))
-    pos = {v: i for i, v in enumerate(order)}
-    anc = tuple(sum(1 << pos[a] for a in order if v in below[a]) for v in order)
-    desc = tuple(sum(1 << pos[d] for d in below[v]) for v in order)
-    return Nesting(pos, tuple(total[v] for v in order), anc, desc)
 
 
 def is_similar(

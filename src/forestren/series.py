@@ -20,6 +20,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import TYPE_CHECKING, Sequence, Union
 
+from .errors import InvalidArgument
 from .pairing import Frozen
 
 if TYPE_CHECKING:  # mpmath loads on the first evalf, never to render
@@ -152,7 +153,7 @@ class PiPoly(Frozen):
         (3/20 to 1 digit is 0.2 here, 0.1 in mpmath).
         """
         if digits < 1:
-            raise ValueError(f"digits must be at least 1, not {digits}")
+            raise InvalidArgument(f"digits must be at least 1, not {digits}")
         if self.is_zero():
             return "0.0"
         den = math.lcm(*(c.denominator for c in self.coeffs))

@@ -13,7 +13,7 @@ import forestren
 EXPORTED = {
     "errors": [
         "ConvergenceFailure", "DomainError", "ForestrenError",
-        "IndexOutOfRange", "LocalityViolation", "NonPositiveWeight",
+        "IndexOutOfRange", "InvalidArgument", "LocalityViolation", "NonPositiveWeight",
         "NotDivisible", "NotProperlyDecorated", "NumeratorTooLarge",
         "ParseError", "SingularGram", "TruncationBelowDegree",
         "VariableMismatch",
@@ -25,7 +25,7 @@ EXPORTED = {
         "serialize", "subtree_sums", "tree_shapes",
     ],
     "pairing": [
-        "GramMatrix", "InnerProduct", "LinearForm", "basis", "form", "inner",
+        "InnerProduct", "LinearForm", "basis", "form", "inner",
         "is_independent",
     ],
     "projector": [

@@ -16,7 +16,6 @@ from forestren import (
     DomainError,
     EMPTY_FOREST,
     GermFraction,
-    GramMatrix,
     IndexOutOfRange,
     InnerProduct,
     NumericAssignment,
@@ -416,7 +415,7 @@ class TestSubsetOracle:
 
     def test_one_context_and_one_solve_per_pair(self, monkeypatch):
         contexts, solves = [], []
-        init, solve = ProjectionContext.__init__, GramMatrix.solve
+        init, solve = ProjectionContext.__init__, InnerProduct.solve
 
         def spy_init(ctx, *args, **kwargs):
             contexts.append(ctx)
@@ -427,7 +426,7 @@ class TestSubsetOracle:
             return solve(*args)
 
         monkeypatch.setattr(ProjectionContext, "__init__", spy_init)
-        monkeypatch.setattr(GramMatrix, "solve", spy_solve)
+        monkeypatch.setattr(InnerProduct, "solve", spy_solve)
         for text in self.FORESTS:
             contexts.clear()
             solves.clear()

@@ -6,7 +6,6 @@ import hypothesis.strategies as strat
 import pytest
 
 from forestren import (
-    GramMatrix,
     IndexOutOfRange,
     InnerProduct,
     LinearForm,
@@ -157,8 +156,22 @@ class TestGram:
             f, Q = helpers.random_forest(rng, 5, allow_fractions=True)
             a = gram(f, Q)
             b = gram_from_inner(f, Q)
-            assert a.vertices == b.vertices
-            assert a.rows == b.rows
+            assert a.indices == b.indices
+            assert a.entries == b.entries
+
+    def test_gram_stores_the_nested_pairs_only(self):
+        # a vertex's own entry and one per ancestor: n + sum of the depths
+        rng = random.Random(5)
+        for _ in range(25):
+            f, Q = helpers.random_forest(rng, 5, allow_fractions=True)
+            depths = {}
+            for node in forestren.forest.iter_vertices(f):  # parents first
+                for child in node.children:
+                    depths[child.root_id] = depths.get(node.root_id, 0) + 1
+            G = gram(f, Q)
+            assert len(G.entries) == len(G.indices) + sum(depths.values())
+            assert all(value != 0 for _, value in G.entries)
+            assert G == gram_from_inner(f, Q)
 
     def test_positive_definite_on_forests(self):
         rng = random.Random(6)
@@ -173,15 +186,10 @@ class TestGram:
         assert G.scaled(2).det() == 4
 
     def test_det_row_swap_and_singular(self):
-        def matrix(rows):
-            return GramMatrix(
-                tuple(range(len(rows))),
-                tuple(tuple(Fraction(x) for x in row) for row in rows),
-            )
-
+        matrix = InnerProduct.from_matrix
         assert matrix([[0, 1], [1, 0]]).det() == -1
         assert matrix([[0, 0, 1], [0, 1, 0], [1, 0, 0]]).det() == -1
-        assert matrix([[0, 2, 0], [1, 0, 0], [0, 0, 3]]).det() == -6
+        assert matrix([[0, 2, 0], [2, 0, 0], [0, 0, 3]]).det() == -12
         assert matrix([[1, 2], [2, 4]]).det() == 0
         assert matrix([[0, 0], [0, 1]]).det() == 0
         assert matrix([]).det() == 1
@@ -198,14 +206,14 @@ class TestGram:
     def test_solve_roundtrip(self):
         f, Q = from_shape(helpers.ladder_shape(3), [1, 2, 3])
         G = gram(f, Q)
-        sub = list(G.vertices)
+        sub = list(G.indices)
         rhs = [Fraction(1), Fraction(0), Fraction(2)]
         x = G.solve(sub, rhs)
         for i, v in enumerate(sub):
             assert sum(G.entry(v, w) * x[j] for j, w in enumerate(sub)) == rhs[i]
 
     def test_singular_solve_raises(self):
-        G = GramMatrix((0, 1), ((Fraction(1), Fraction(1)), (Fraction(1), Fraction(1))))
+        G = InnerProduct.from_matrix([[1, 1], [1, 1]])
         assert not G.is_positive_definite()
         with pytest.raises(SingularGram):
             G.solve([0, 1], [Fraction(1), Fraction(0)])

@@ -10,7 +10,7 @@ import pytest
 from forestren import (
     GermFraction,
     ProjectionContext,
-    GramMatrix,
+    InnerProduct,
     NotProperlyDecorated,
     PiPoly,
     SingularGram,
@@ -19,6 +19,7 @@ from forestren import (
     ev0_piplus,
     ev0_piplus_direct,
     gram,
+    gram_from_inner,
     h_series,
     parse_forest,
     piplus_expand,
@@ -29,6 +30,8 @@ import forestren.forest
 import forestren.renorm
 from forestren import projector, region
 from forestren.forest import (
+    _laminar,
+    forest_of,
     forest_shapes,
     from_shape,
     tree_shapes,
@@ -36,10 +39,16 @@ from forestren.forest import (
     vertex_weights,
 )
 from forestren.region import Nesting
-from forestren.renorm import _tree_nesting, expand_r1
+from forestren.renorm import expand_r1
 from forestren.series import ONE_PIPOLY, ZERO_PIPOLY
 
 import helpers
+
+
+def tree_nesting(tree, weights):
+    """The Nesting that renormalize builds for one tree."""
+    total, pairs, _ = _laminar(forest_of(tree), weights)
+    return Nesting.build(total, pairs)
 
 
 def ladder2_ctx():
@@ -130,9 +139,7 @@ class TestGuards:
                 project(frac, ctx)
 
     def test_context_requires_positive_definite_gram(self):
-        bad = GramMatrix(
-            (0, 1), ((Fraction(1), Fraction(2)), (Fraction(2), Fraction(1)))
-        )
+        bad = InnerProduct.from_matrix([[1, 2], [2, 1]])
         with pytest.raises(SingularGram):
             ProjectionContext(bad)
 
@@ -502,7 +509,7 @@ class TestRegionCoordinates:
                 weights = helpers.random_weights(rng, n, True)
                 f, Q = from_shape((shape,), weights)
                 [tree] = f.trees
-                nest = _tree_nesting(tree, vertex_weights(f, Q))
+                nest = tree_nesting(tree, vertex_weights(f, Q))
                 sevenfold = tuple(7 * w for w in nest.weight)
                 want = region.ev0_tree(nest)
                 assert region.ev0_tree(nest._replace(weight=sevenfold)) == want
@@ -539,7 +546,7 @@ class TestRegionCoordinates:
         def refuse(*args, **kwargs):
             raise AssertionError("the fast path reached a Gram solve")
 
-        monkeypatch.setattr(GramMatrix, "solve", refuse)
+        monkeypatch.setattr(InnerProduct, "solve", refuse)
         monkeypatch.setattr(projector, "project_coeffs", refuse)
         assert [renormalize(*fQ).exact for fQ in forests] == want
         for (ctx, frac), ref in zip(fracs, refs):
@@ -559,7 +566,7 @@ class TestRegionCoordinates:
 
         monkeypatch.setattr(forestren.forest, "gram", refuse)
         monkeypatch.setattr(forestren.renorm, "gram", refuse)
-        monkeypatch.setattr(GramMatrix, "is_positive_definite", refuse)
+        monkeypatch.setattr(InnerProduct, "is_positive_definite", refuse)
         monkeypatch.setattr(Nesting, "of", refuse)
         monkeypatch.setattr(projector, "ev0_piplus_direct", refuse)
         assert [renormalize(*fQ).exact for fQ in forests] == want
@@ -594,8 +601,8 @@ class TestNesting:
         assert nest.desc[root] == 1 << mid | 1 << leaf4 | 1 << leaf2
 
     def test_positive_definite_non_nesting_gram_rejected(self):
-        two = (Fraction(2), Fraction(1)), (Fraction(1), Fraction(2))
-        ctx = ProjectionContext(GramMatrix((0, 1), two))  # det 3 > 0
+        two = InnerProduct.from_matrix([[2, 1], [1, 2]])
+        ctx = ProjectionContext(two)  # det 3 > 0
         num = series_monomial((0, 1), 2, (1, 1))
         frac = GermFraction(num, frozenset({0, 1}))
         with pytest.raises(NotProperlyDecorated, match="neither 0 nor"):
@@ -604,8 +611,7 @@ class TestNesting:
 
     def test_ancestors_must_form_a_chain(self):
         # vertex 2 lies below both 0 and 1, which are disjoint
-        rows = ((3, 0, 1), (0, 3, 1), (1, 1, 1))
-        g = GramMatrix((0, 1, 2), tuple(tuple(map(Fraction, r)) for r in rows))
+        g = InnerProduct.from_matrix([[3, 0, 1], [0, 3, 1], [1, 1, 1]])
         with pytest.raises(NotProperlyDecorated, match="do not nest"):
             Nesting.of(g)
 
@@ -627,8 +633,8 @@ class TestNesting:
                     f, Q = from_shape((shape,), weights)
                     want = Nesting.of(gram(f, Q))
                     [tree] = f.trees
-                    got = _tree_nesting(tree, vertex_weights(f, Q))
-                    assert got == want
+                    got = tree_nesting(tree, vertex_weights(f, Q))
+                    assert got == want == Nesting.of(gram_from_inner(f, Q))
                     assert {type(w) for w in got.weight + want.weight} == {int}
 
 

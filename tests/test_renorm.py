@@ -330,3 +330,72 @@ class TestRenormalizedValue:
         assert a == b
         assert hash(a) == hash(b)
         assert a != RenormalizedValue.from_exact(PiPoly.pi2(1, Fraction(1, 3)))
+
+
+def _l2_context():
+    return forestren.ProjectionContext(gram(*parse_forest("(1 (1))")))
+
+
+# Each call that refuses its argument, with the message the refusal gives.
+BAD_ARGUMENTS = {
+    "concat": (
+        lambda: forestren.concat(
+            forest_of(tree(0, basis(0))),
+            forest_of(tree(0, basis(0))),
+            InnerProduct.identity(1),
+        ),
+        "occur in both concatenation operands",
+    ),
+    "graft": (
+        lambda: forestren.graft(
+            basis(1), forest_of(tree(0, basis(0))), InnerProduct.identity(2), 0
+        ),
+        "root id 0 already used",
+    ),
+    "vertex_weights": (
+        lambda: forestren.forest.vertex_weights(
+            forest_of(tree(0, basis(0)), tree(0, basis(1))),
+            InnerProduct.identity(2),
+        ),
+        "vertex id 0 occurs twice",
+    ),
+    "from_shape": (
+        lambda: forestren.from_shape(((),), [1, 2]), "shape needs 1 weights"
+    ),
+    "from_matrix-square": (
+        lambda: InnerProduct.from_matrix([[1, 2]]), "not square"
+    ),
+    "from_matrix-symmetric": (
+        lambda: InnerProduct.from_matrix([[1, 2], [3, 1]]), "not symmetric"
+    ),
+    "scaled": (
+        lambda: InnerProduct.identity(1).scaled(0), "scale must be nonzero"
+    ),
+    "h_series": (lambda: forestren.h_series(0, 0), "needs N >= 1"),
+    "project_coeffs": (
+        lambda: forestren.project_coeffs(_l2_context(), frozenset(), 0),
+        "pole set must be non-empty",
+    ),
+    "piplus_expand": (
+        lambda: forestren.piplus_expand(
+            forestren.GermFraction(
+                forestren.TruncSeries.one((0, 1), 1), frozenset({0, 1})
+            ),
+            _l2_context(),
+        ),
+        "truncation must be at least the number of poles",
+    ),
+    "numeric_str": (
+        lambda: PiPoly.const(1).numeric_str(0), "digits must be at least 1"
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "call, message", BAD_ARGUMENTS.values(), ids=list(BAD_ARGUMENTS)
+)
+def test_bad_argument_is_a_library_error_and_a_value_error(call, message):
+    with pytest.raises(forestren.InvalidArgument, match=message) as info:
+        call()
+    assert isinstance(info.value, forestren.ForestrenError)
+    assert isinstance(info.value, ValueError)

@@ -17,7 +17,6 @@ from forestren import (
     DecoratedForest,
     DecoratedTree,
     GermFraction,
-    GramMatrix,
     InnerProduct,
     LinearForm,
     NumericAssignment,
@@ -34,7 +33,7 @@ from forestren import (
 HALF = Fraction(1, 2)
 FORM = LinearForm(((0, Fraction(1)), (2, HALF)))
 Q = InnerProduct((0, 1), (((0, 0), Fraction(2)), ((1, 1), Fraction(3))))
-GRAM = GramMatrix((0, 1), ((Fraction(3), Fraction(1)), (Fraction(1), Fraction(1))))
+GRAM = InnerProduct.from_matrix([[3, 1], [1, 1]])
 POLY = PiPoly((Fraction(0), HALF))
 SERIES = TruncSeries((0, 1), 2, {(1, 0): POLY})
 LEAF = DecoratedTree(1, LinearForm(((1, Fraction(1)),)), ())
@@ -49,7 +48,6 @@ def negate(form):
 CASES = [
     (LinearForm, {"items": FORM.items}),
     (InnerProduct, {"indices": Q.indices, "entries": Q.entries}),
-    (GramMatrix, {"vertices": GRAM.vertices, "rows": GRAM.rows}),
     (PiPoly, {"coeffs": POLY.coeffs}),
     (TruncSeries, {"variables": (0, 1), "trunc": 2, "terms": {(1, 0): POLY}}),
     (DecoratedTree, {"root_id": 0, "decoration": FORM, "children": (LEAF,)}),
@@ -138,7 +136,7 @@ def test_projection_context_is_unhashable():
 def test_constructors_validate():
     with pytest.raises(VariableMismatch, match="not among the numerator"):
         GermFraction(SERIES, frozenset({7}))
-    singular = GramMatrix((0,), ((Fraction(0),),))
+    singular = InnerProduct.from_matrix([[0]])
     with pytest.raises(SingularGram, match="positive-definite"):
         ProjectionContext(singular, order_rng=None)
 
@@ -148,7 +146,7 @@ def test_constructors_validate():
     [
         (Q, "_table"),
         (Q, "_active"),
-        (GRAM, "_pos"),
+        (GRAM, "_table"),
         (RenormalizedValue(POLY), "numeric"),
     ],
 )
