@@ -58,11 +58,11 @@ _EXPORTS = {
         "ProjectionContext",
         "TruncSeries",
         "ev0_piplus",
-        "ev0_piplus_direct",
         "h_series",
         "piplus_expand",
         "project_coeffs",
     ),
+    "region": ("ev0_piplus_direct",),
     "renorm": (
         "RegularizedIntegral",
         "RenormalizedValue",

@@ -33,14 +33,12 @@ from .errors import (
     SingularGram,
 )
 from .forest import parse_forest
-from .renorm import (
-    MAX_GERM_DEGREE,
-    MAX_GERM_TRUNC_EXCESS,
-    expand_r1,
-    is_similar,
-    regularize,
-    renormalize,
-)
+from .renorm import expand_r1, is_similar, regularize, renormalize
+
+# germ projects the dense numerator of expand_r1; on a 2-core Xeon, degree 5
+# takes up to 3 s at truncation 7 but 15 s at 8, and a 6-corolla minutes
+MAX_GERM_DEGREE = 5
+MAX_GERM_TRUNC_EXCESS = 2
 
 
 class _CheckFailure(ForestrenError):

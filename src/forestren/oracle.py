@@ -406,20 +406,26 @@ def quad_tree(
 def closed_form_value(
     forest: DecoratedForest, assign: NumericAssignment, x: float
 ) -> float:
-    """Numeric rendering of the closed form, for comparison with quad_tree."""
+    """Numeric rendering of the closed form, for comparison with quad_tree.
+
+    x^(-E) * prod_v pi/sin(pi L_v) is summed in log space and exponentiated
+    once, so no intermediate product underflows or overflows on its own.
+    """
+    if x <= 0:
+        raise DomainError(f"external parameter {x} must be positive")
     values = _check_strip(forest, assign)
+    if forest.is_empty():
+        return 1.0
     exponent = 0.0
     for node in iter_vertices(forest):
         exponent += assign.value_of(node.decoration)
+    log_value = math.fsum([-exponent * math.log(x)] + [
+        math.log(math.pi / math.sin(math.pi * val)) for val in values.values()
+    ])
     try:
-        out = x ** (-exponent)
+        return math.exp(log_value)
     except OverflowError:
-        out = math.inf
-    for val in values.values():
-        out *= math.pi / math.sin(math.pi * val)
-    if math.isinf(out):
-        raise DomainError("value overflows float64")
-    return out
+        raise DomainError("value overflows float64") from None
 
 
 def admissible_assignment(

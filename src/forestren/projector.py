@@ -18,27 +18,24 @@ sweep is incremental: a step changes one slot's image, so only the
 numerator terms that use that slot are substituted again, from kept powers
 of the slot images, and their new minus old images make the difference.
 
-The fast path :func:`ev0_piplus_direct` computes only the value at zero,
-monomial by monomial, in region coordinates, on the engine of
-:mod:`forestren.region` over the :class:`~forestren.region.Nesting` it
-reads off the Gram matrix; it solves no linear system.  ``renormalize``
-runs that engine tree by tree without this module, so only ``germ``, the
-cross-checks and the tests load the reference and its numerators,
-:class:`TruncSeries` over Q[pi^2] built from :func:`h_series`.
+This module holds that reference alone, with the inputs it shares with the
+fast path :func:`forestren.region.ev0_piplus_direct`: :class:`GermFraction`,
+:class:`ProjectionContext`, and the numerators, :class:`TruncSeries` over
+Q[pi^2] built from :func:`h_series`.  The two modules import nothing from
+each other.  ``renormalize`` runs the region engine tree by tree without
+this module, so only ``germ``, the cross-checks and the tests load it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm, prod
-from operator import getitem
 from typing import TYPE_CHECKING, Mapping, Optional, Sequence
 
 from .errors import (
     InvalidArgument, NotDivisible, SingularGram, VariableMismatch
 )
 from .pairing import Frozen, InnerProduct, Rational
-from .region import Nesting, _ev0_sum, _Packing
 from .series import (
     ONE_PIPOLY,
     ZERO_PIPOLY,
@@ -392,9 +389,9 @@ class ProjectionContext:
     across all its subsets and reassigns ``order_rng`` per subset mask.
     ``_coeff_cache`` keeps the projection coefficients of each (pole set,
     slot) pair, so each Gram solve runs once per context, and
-    ``_monomial_memo`` keeps the states that :func:`ev0_piplus_direct`
-    visits over the :class:`~forestren.region.Nesting` of ``gram``; both
-    start empty.  Caches are only ever added to, so
+    ``_monomial_memo`` keeps the states that the fast path
+    :func:`forestren.region.ev0_piplus_direct` visits over the Nesting of
+    ``gram``; both start empty.  Caches are only ever added to, so
     concurrent readers are safe.  Contexts compare by all four fields and
     are unhashable.
     """
@@ -574,71 +571,6 @@ def ev0_piplus(frac: GermFraction, ctx: ProjectionContext) -> PiPoly:
     _require_vertices(frac, ctx)
     num = frac.numerator.truncated(len(frac.poles))
     return _piplus(num, frac.poles, ctx).eval0()
-
-
-def ev0_piplus_direct(frac: GermFraction, ctx: ProjectionContext) -> PiPoly:
-    """Same value as :func:`ev0_piplus`, computed monomial by monomial.
-
-    Degree bookkeeping (substitutions by constant-free linear forms preserve
-    homogeneous degree, each recursion level divides by one pole variable,
-    and only degree zero survives the final evaluation) pins the contributing
-    numerator terms to total degree exactly |poles|.  Each is evaluated in
-    region coordinates: for a pole p, y_p is the sum of the decorations in
-    p's subtree that lie in no deeper pole's subtree.  Subtree sums form a
-    laminar family, so the y_p are orthogonal and span the pole span, and
-    projecting onto it needs no linear solve.  With R(p) = Q(y_p, y_p) the
-    region weight, three exact moves, each keeping the total degree equal to
-    the pole count, reduce a monomial in the symbols z_v and y_p:
-
-    1. a pole's own z_p: divide it out and drop p.  Region p merges into
-       the region of p's nearest pole ancestor a, and y_p and y_a project
-       to R(p)/(R(p)+R(a)) and R(a)/(R(p)+R(a)) times the merged y_a;
-       without a pole ancestor y_p projects to 0.
-    2. a non-pole z_w: replace it by its projection, the sum of z_c over
-       the maximal poles c inside w's subtree plus
-       (W_w - sum of W_c) / R(a) * y_a for w's nearest pole ancestor a,
-       where W_v = Q(L_v, L_v).
-    3. a region coordinate y_q: write it as z_q minus the z_c of q's child
-       poles, then apply move 1 to each term.
-
-    Move 1 first takes out the numerator's own pole variables.  After that
-    each step rewrites one factor of the symbol whose move has the fewest
-    terms, so chains stay sparse in z and bushy pole sets sparse in y.
-    Moves 1 and 2 use that a fraction's value is unchanged when a factor of
-    its numerator is replaced by its projection onto the pole span: the
-    projection is linear over functions of the orthogonal directions, and
-    evaluation at zero sends those to 0.  The Gram matrix must be that of
-    the subtree sums of a forest (see :class:`Nesting`).
-
-    :func:`ev0_piplus` remains the reference implementation; the two are
-    checked against each other in the test suite.
-    """
-    _require_vertices(frac, ctx)
-    n = len(frac.poles)
-    num = frac.numerator
-    terms = [(exps, c) for exps, c in num.terms.items() if sum(exps) == n]
-    if not terms:
-        return ZERO_PIPOLY
-    pk = _Packing.of(Nesting.of(ctx.gram), ctx._monomial_memo)
-    pos, unit = pk.nest.pos, pk.unit
-    # what exponent e of each variable adds to a state; a pole variable
-    # first loses one power to move 1, a plain division while no region
-    # symbol occurs
-    add = []
-    for v in num.variables:
-        p = pos[v]
-        z = unit[2 * p]
-        if v in frac.poles:
-            add.append([0] + [(e - 1) * z - (1 << p) for e in range(1, n + 1)])
-        else:
-            add.append([e * z for e in range(n + 1)])
-    all_poles = sum(1 << pos[p] for p in frac.poles)
-    den = lcm(*(c.denominator for _, coeff in terms for c in coeff.coeffs))
-    return PiPoly.from_coeffs(_ev0_sum(pk, (
-        (sum(map(getitem, add, exps), all_poles),
-         tuple(c.numerator * (den // c.denominator) for c in coeff.coeffs))
-        for exps, coeff in terms
-    ), den))
 
 
 def _require_vertices(frac: GermFraction, ctx: ProjectionContext) -> None:

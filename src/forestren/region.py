@@ -4,22 +4,26 @@ For a set of poles among the subtree sums L_v of a forest, the region
 coordinate y_p of a pole p sums the decorations of p's subtree that lie in
 no deeper pole's subtree.  Subtree sums are laminar, so the y_p are
 orthogonal and span the pole span, and projecting onto it is diagonal in
-them.  The engine's only input is a :class:`Nesting`, the forest order of
-the L_v and their weights; it solves no linear system.  :func:`ev0_tree`
-evaluates one tree's whole expansion, which is all ``renormalize`` runs,
-and :func:`forestren.projector.ev0_piplus_direct` evaluates any germ
+them.  This is the fast path.  Its only input is a :class:`Nesting`, the
+forest order of the L_v and their weights, and it solves no linear system.
+:func:`ev0_tree` evaluates one tree's whole expansion, which is all
+``renormalize`` runs, and :func:`ev0_piplus_direct` evaluates any germ
 fraction over the Nesting of its Gram matrix, with the moves that its
-docstring lists.  Nothing here imports the telescoping reference of
-:mod:`forestren.projector`, which the tests check this engine against.
+docstring lists.  It reads its ``GermFraction`` and ``ProjectionContext``
+by attribute only: this module and :mod:`forestren.projector`, the
+telescoping reference that the tests check it against, import nothing from
+each other.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from math import gcd, lcm
-from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Optional
+from operator import getitem
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple
 
-from .errors import NotProperlyDecorated
+from .errors import NotProperlyDecorated, VariableMismatch
 from .series import PiPoly, VertexId, ZERO_PIPOLY, sinc_inverse_coeffs
 
 if TYPE_CHECKING:
@@ -114,63 +118,29 @@ _ZERO = (0, 1)
 _ONE = (1, 1)
 
 
-class _Packing(NamedTuple):
-    """One nesting, the bit layout of its states, and the projection caches.
+def _engine(nest: Nesting, memo: dict[int, tuple[int, int]]) -> tuple:
+    """The state value function of one nesting, memoized in ``memo``, and
+    ``unit``: ``unit[s]`` is 1 in the lowest bit of symbol s's field.
 
-    ``unit[s]`` is 1 in the lowest bit of symbol s's field, ``shift[s]``
-    that bit's index, ``below[s]`` = unit[s] - 1 masks the pole bits and
-    the fields of smaller symbols, and ``rkey[s]`` is the position part
-    (s >> 1) << n of a :meth:`region` key.  ``drops[sign, p, a]`` is move 1
-    on the term sign * z_p with a the nearest pole above p (-1 if none):
-    ``(sign, pole bit, shift of the field of y_p / R(p), merge)``, where
-    ``merge`` adds one power of y_a / R(a) and takes one of y_p / R(p), or
-    is None when region p leaves the pole span.
+    Per symbol s, ``below[s]`` = unit[s] - 1 masks the pole bits and the
+    fields of smaller symbols, and ``rkey[s]`` is the position part
+    (s >> 1) << n of a region key.
     """
+    n = len(nest.weight)
+    width = n.bit_length()
+    field = (1 << width) - 1  # mask of one field
+    pole_bits = (1 << n) - 1
+    unit = tuple(1 << n + s * width for s in range(2 * n))
+    below = tuple(u - 1 for u in unit)
+    rkey = tuple((s >> 1) << n for s in range(2 * n))
+    regions: dict[int, tuple] = {}  # region key -> region entry
 
-    nest: Nesting
-    width: int
-    field: int  # mask of one field
-    poles: int  # mask of the pole bits
-    unit: tuple[int, ...]
-    shift: tuple[int, ...]
-    below: tuple[int, ...]
-    rkey: tuple[int, ...]
-    drops: dict[tuple[int, int, int], tuple[int, int, int, Optional[int]]]
-    memo: dict[int, tuple[int, int]]  # state -> value
-    regions: dict[int, tuple]  # region key -> region entry
+    @cache  # region entries share their drops
+    def drop(sign: int, p: int, a: int) -> tuple:
+        merge = unit[2 * a + 1] - unit[2 * p + 1] if a >= 0 else None
+        return sign, 1 << p, n + (2 * p + 1) * width, merge
 
-    @staticmethod
-    def of(nest: Nesting, memo: dict[int, tuple[int, int]]) -> "_Packing":
-        n = len(nest.weight)
-        width = n.bit_length()
-        shift = tuple(n + s * width for s in range(2 * n))
-        unit = tuple(1 << t for t in shift)
-        drops = {
-            (sign, p, a): (
-                sign,
-                1 << p,
-                shift[2 * p + 1],
-                unit[2 * a + 1] - unit[2 * p + 1] if a >= 0 else None,
-            )
-            for sign in (1, -1)
-            for p in range(n)
-            for a in range(-1, p)  # an ancestor precedes p
-        }
-        return _Packing(
-            nest,
-            width,
-            (1 << width) - 1,
-            (1 << n) - 1,
-            unit,
-            shift,
-            tuple(u - 1 for u in unit),
-            tuple((s >> 1) << n for s in range(2 * n)),
-            drops,
-            memo,
-            {},
-        )
-
-    def region(self, poles: int, i: int) -> tuple[int, tuple, int, int]:
+    def region(poles: int, i: int) -> tuple[int, tuple, int, int]:
         """How the moves rewrite the symbol at position i, given the poles
         of the bit mask ``poles``.
 
@@ -179,101 +149,99 @@ class _Packing(NamedTuple):
         minus those of the maximal poles strictly below i, its tops: for a
         pole its region weight R(i), for a non-pole the squared norm of the
         part of L_i that lies in no pole's subtree.  ``drops`` are the
-        terms z_p that move 1 then takes, from :attr:`drops`: for a pole,
-        move 3 makes +z_i and -z_c over its tops; for a non-pole, move 2
-        makes +z_c over its tops.  ``terms`` counts the terms of i's move:
-        the drops, and for a non-pole below a pole the term in y_up.
-        Entries are cached under the one int ``i << n | poles``, n the
-        vertex count.
+        terms z_p that move 1 then takes: for a pole, move 3 makes +z_i and
+        -z_c over its tops; for a non-pole, move 2 makes +z_c over its tops.
+        A drop is ``(sign, pole bit, shift of the field of y_p / R(p),
+        merge)``: ``merge`` adds one power of y_a / R(a), a the nearest
+        pole above p, and takes one of y_p / R(p), or is None when region p
+        leaves the pole span.  ``terms`` counts the terms of i's move: the
+        drops, and for a non-pole below a pole the term in y_up.  The
+        caller caches entries under the one int ``i << n | poles``.
         """
-        nest = self.nest
-        key = i << len(nest.weight) | poles
-        hit = self.regions.get(key)
-        if hit is None:
-            share = nest.weight[i]
-            tops = []
-            rest = nest.desc[i] & poles
-            while rest:
-                c = (rest & -rest).bit_length() - 1
-                rest &= ~(nest.desc[c] | 1 << c)  # c is a top: skip below
-                tops.append(c)
-                share -= nest.weight[c]
-            up = (nest.anc[i] & poles).bit_length() - 1
-            drops = self.drops
-            if poles >> i & 1:
-                moved = [drops[1, i, up]] + [drops[-1, c, i] for c in tops]
-                terms = len(moved)
-            else:
-                moved = [drops[1, c, up] for c in tops]
-                terms = len(moved) + (up >= 0)
-            hit = self.regions[key] = (terms, tuple(moved), share, up)
-        return hit
+        share = nest.weight[i]
+        tops = []
+        rest = nest.desc[i] & poles
+        while rest:
+            c = (rest & -rest).bit_length() - 1
+            rest &= ~(nest.desc[c] | 1 << c)  # c is a top: skip below
+            tops.append(c)
+            share -= nest.weight[c]
+        up = (nest.anc[i] & poles).bit_length() - 1
+        if poles >> i & 1:
+            moved = [drop(1, i, up)] + [drop(-1, c, i) for c in tops]
+            terms = len(moved)
+        else:
+            moved = [drop(1, c, up) for c in tops]
+            terms = len(moved) + (up >= 0)
+        return terms, tuple(moved), share, up
 
+    def value(state: int, recurse: Callable) -> tuple[int, int]:
+        """Value at zero of the projection of a state's monomial / prod of
+        the pole z's, as a reduced (numerator, denominator) pair.
 
-def _region_value(pk: _Packing, state: int) -> tuple[int, int]:
-    """Value at zero of the projection of a state's monomial / prod of the
-    pole z's, as a reduced (numerator, denominator) pair.
+        The monomial has degree |poles| and holds no pole's own z; the
+        moves keep both true.  Each step rewrites one factor of the symbol
+        whose move has the fewest terms, on a tie the last in symbol order:
+        the one of smallest weight, a region symbol before the z at the
+        same position.
+        """
+        if not state:
+            return _ONE
+        hit = memo.get(state)
+        if hit is not None:
+            return hit
+        poles = state & pole_bits
+        # scan the occurring symbols from the last down; a later one wins ties
+        best = entry = None
+        fewest = 1 << 30
+        rest = state
+        while rest > poles:
+            s = (rest.bit_length() - 1 - n) // width
+            rest &= below[s]
+            e = regions.get(rkey[s] | poles)
+            if e is None:
+                e = regions[rkey[s] | poles] = region(poles, s >> 1)
+            if e[0] < fewest:
+                best, entry, fewest = s, e, e[0]
+        _, drops, share, a = entry
+        rest = state - unit[best]
+        num, den = 0, 1
+        if not best & 1 and a >= 0:
+            # move 2's term off the poles: (W_i - sum of W_c) * y_a / R(a)
+            num, den = recurse(rest + unit[2 * a + 1], recurse)
+            num *= share
+        # move 2 (z_i -> sum of z_c) or 3 (y_i / R(i) -> (z_i - sum of z_c)
+        # / R(i)) then move 1 on each z_p: divide it out, drop pole p, and
+        # merge region p into the region of p's nearest pole ancestor, onto
+        # which both scaled coordinates project; without one, y_p projects
+        # to 0
+        for sign, bit, yshift, merge in drops:
+            sub = rest - bit
+            e = sub >> yshift & field
+            if e:
+                if merge is None:
+                    continue
+                sub += e * merge
+            vn, vd = recurse(sub, recurse)
+            if vn:
+                if vd == den:
+                    num += sign * vn
+                else:
+                    num, den = num * vd + sign * vn * den, den * vd
+        if best & 1:
+            den *= share
+        if num:
+            g = gcd(num, den)
+            val = (num // g, den // g)
+        else:
+            val = _ZERO
+        memo[state] = val
+        return val
 
-    The monomial has degree |poles| and holds no pole's own z; the moves
-    keep both true.  Each step rewrites one factor of the symbol whose move
-    has the fewest terms, on a tie the last in symbol order: the one of
-    smallest weight, a region symbol before the z at the same position.
-    """
-    if not state:
-        return _ONE
-    memo = pk.memo
-    hit = memo.get(state)
-    if hit is not None:
-        return hit
-    regions = pk.regions
-    poles = state & pk.poles
-    # scan the occurring symbols from the last down; a later one wins ties
-    best = entry = None
-    fewest = 1 << 30
-    rest = state
-    width, offset, below, rkey = pk.width, pk.shift[0], pk.below, pk.rkey
-    while rest > poles:
-        s = (rest.bit_length() - 1 - offset) // width
-        rest &= below[s]
-        e = regions.get(rkey[s] | poles)
-        if e is None:
-            e = pk.region(poles, s >> 1)
-        if e[0] < fewest:
-            best, entry, fewest = s, e, e[0]
-    _, drops, share, a = entry
-    rest = state - pk.unit[best]
-    num, den = 0, 1
-    if not best & 1 and a >= 0:
-        # move 2's term off the poles: (W_i - sum of W_c) * y_a / R(a)
-        num, den = _region_value(pk, rest + pk.unit[2 * a + 1])
-        num *= share
-    # move 2 (z_i -> sum of z_c) or 3 (y_i / R(i) -> (z_i - sum of z_c) /
-    # R(i)) then move 1 on each z_p: divide it out, drop pole p, and merge
-    # region p into the region of p's nearest pole ancestor, onto which both
-    # scaled coordinates project; without one, y_p projects to 0
-    field = pk.field
-    for sign, bit, yshift, merge in drops:
-        sub = rest - bit
-        e = sub >> yshift & field
-        if e:
-            if merge is None:
-                continue
-            sub += e * merge
-        vn, vd = _region_value(pk, sub)
-        if vn:
-            if vd == den:
-                num += sign * vn
-            else:
-                num, den = num * vd + sign * vn * den, den * vd
-    if best & 1:
-        den *= share
-    if num:
-        g = gcd(num, den)
-        val = (num // g, den // g)
-    else:
-        val = _ZERO
-    memo[state] = val
-    return val
+    # ``value`` is handed itself to recurse through: naming itself would be
+    # a reference cycle, which keeps the memo and region cache until the next
+    # cyclic collection (a ``trees`` benchmark run peaked at 46 MB, not 39)
+    return lambda state: value(state, value), unit
 
 
 def ev0_tree(nest: Nesting) -> PiPoly:
@@ -296,16 +264,16 @@ def ev0_tree(nest: Nesting) -> PiPoly:
     u = sinc_inverse_coeffs(half + 1)
     scale = lcm(*(c.denominator for c in u))
     v = [c.numerator * (scale**m // c.denominator) for m, c in enumerate(u)]
-    pk = _Packing.of(nest, {})
+    value, unit = _engine(nest, {})
 
     def terms() -> Iterator[tuple[int, tuple[int]]]:
-        stack = [(0, pk.poles, half, 1)]  # position, state, left, coefficient
+        stack = [(0, (1 << n) - 1, half, 1)]  # position, state, left, coeff
         while stack:
             p, state, left, c = stack.pop()
             if not left:  # the other positions take m = 0
                 yield state, (c,)
                 continue
-            z, bit = pk.unit[2 * p], 1 << p
+            z, bit = unit[2 * p], 1 << p
             if p < n - 1:
                 stack.append((p + 1, state, left, c))
             for m in range(1 if p < n - 1 else left, left + 1):
@@ -313,17 +281,90 @@ def ev0_tree(nest: Nesting) -> PiPoly:
                     (p + 1, state + (2 * m - 1) * z - bit, left - m, c * v[m])
                 )
 
-    return PiPoly.from_coeffs([0] * half + _ev0_sum(pk, terms(), scale**half))
+    sums = _ev0_sum(value, terms(), scale**half)
+    return PiPoly.from_coeffs([0] * half + sums)
+
+
+def ev0_piplus_direct(frac: GermFraction, ctx: ProjectionContext) -> PiPoly:
+    """Same value as :func:`forestren.projector.ev0_piplus`, computed
+    monomial by monomial.
+
+    Degree bookkeeping (substitutions by constant-free linear forms preserve
+    homogeneous degree, each recursion level divides by one pole variable,
+    and only degree zero survives the final evaluation) pins the contributing
+    numerator terms to total degree exactly |poles|.  Each is evaluated in
+    region coordinates: for a pole p, y_p is the sum of the decorations in
+    p's subtree that lie in no deeper pole's subtree.  Subtree sums form a
+    laminar family, so the y_p are orthogonal and span the pole span, and
+    projecting onto it needs no linear solve.  With R(p) = Q(y_p, y_p) the
+    region weight, three exact moves, each keeping the total degree equal to
+    the pole count, reduce a monomial in the symbols z_v and y_p:
+
+    1. a pole's own z_p: divide it out and drop p.  Region p merges into
+       the region of p's nearest pole ancestor a, and y_p and y_a project
+       to R(p)/(R(p)+R(a)) and R(a)/(R(p)+R(a)) times the merged y_a;
+       without a pole ancestor y_p projects to 0.
+    2. a non-pole z_w: replace it by its projection, the sum of z_c over
+       the maximal poles c inside w's subtree plus
+       (W_w - sum of W_c) / R(a) * y_a for w's nearest pole ancestor a,
+       where W_v = Q(L_v, L_v).
+    3. a region coordinate y_q: write it as z_q minus the z_c of q's child
+       poles, then apply move 1 to each term.
+
+    Move 1 first takes out the numerator's own pole variables.  After that
+    each step rewrites one factor of the symbol whose move has the fewest
+    terms, so chains stay sparse in z and bushy pole sets sparse in y.
+    Moves 1 and 2 use that a fraction's value is unchanged when a factor of
+    its numerator is replaced by its projection onto the pole span: the
+    projection is linear over functions of the orthogonal directions, and
+    evaluation at zero sends those to 0.  The Gram matrix must be that of
+    the subtree sums of a forest (see :class:`Nesting`).
+
+    :func:`forestren.projector.ev0_piplus` remains the reference
+    implementation; the two are checked against each other in the test
+    suite.
+    """
+    extra = set(frac.numerator.variables).difference(ctx.gram.indices)
+    if extra:
+        raise VariableMismatch(
+            f"numerator variables {sorted(extra)} are not vertices of the"
+            " Gram matrix"
+        )
+    n = len(frac.poles)
+    num = frac.numerator
+    terms = [(exps, c) for exps, c in num.terms.items() if sum(exps) == n]
+    if not terms:
+        return ZERO_PIPOLY
+    nest = Nesting.of(ctx.gram)
+    value, unit = _engine(nest, ctx._monomial_memo)
+    # what exponent e of each variable adds to a state; a pole variable
+    # first loses one power to move 1, a plain division while no region
+    # symbol occurs
+    add = []
+    for v in num.variables:
+        p = nest.pos[v]
+        z = unit[2 * p]
+        if v in frac.poles:
+            add.append([0] + [(e - 1) * z - (1 << p) for e in range(1, n + 1)])
+        else:
+            add.append([e * z for e in range(n + 1)])
+    all_poles = sum(1 << nest.pos[p] for p in frac.poles)
+    den = lcm(*(c.denominator for _, coeff in terms for c in coeff.coeffs))
+    return PiPoly.from_coeffs(_ev0_sum(value, (
+        (sum(map(getitem, add, exps), all_poles),
+         tuple(c.numerator * (den // c.denominator) for c in coeff.coeffs))
+        for exps, coeff in terms
+    ), den))
 
 
 def _ev0_sum(
-    pk: _Packing, terms: Iterable[tuple[int, tuple[int, ...]]], den: int
+    value: Callable, terms: Iterable[tuple[int, tuple[int, ...]]], den: int
 ) -> list[Fraction]:
     """Per power of Pi, the sum of coefficient * state value over the terms,
     each coefficient an int over the common denominator ``den``."""
     sums: list[dict[int, int]] = []  # numerator sums by denominator
     for state, coeffs in terms:
-        wn, wd = _region_value(pk, state)
+        wn, wd = value(state)
         if wn:
             sums += [{} for _ in range(len(coeffs) - len(sums))]
             for acc, c in zip(sums, coeffs):

@@ -45,10 +45,6 @@ if TYPE_CHECKING:
 # (0.3 KB of peak RSS), so a 16-tree would need about 1 GB; a 14-ladder
 # peaks at 121 MB.
 MAX_SLICE_TERMS = 10**5
-# germ projects the dense numerator of expand_r1; on a 2-core Xeon, degree 5
-# takes up to 3 s at truncation 7 but 15 s at 8, and a 6-corolla minutes
-MAX_GERM_DEGREE = 5
-MAX_GERM_TRUNC_EXCESS = 2
 
 
 class RegularizedIntegral(Frozen):

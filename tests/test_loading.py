@@ -30,8 +30,9 @@ EXPORTED = {
     ],
     "projector": [
         "GermFraction", "ProjectionContext", "TruncSeries", "ev0_piplus",
-        "ev0_piplus_direct", "h_series", "piplus_expand", "project_coeffs",
+        "h_series", "piplus_expand", "project_coeffs",
     ],
+    "region": ["ev0_piplus_direct"],
     "renorm": [
         "RegularizedIntegral", "RenormalizedValue", "expand_r1", "is_similar",
         "r1", "regularize", "renormalize",

@@ -329,6 +329,24 @@ class TestClosedFormValue:
         with pytest.raises(DomainError, match="value overflows float64"):
             closed_form_value(f, assign, 1e-200)
 
+    def test_many_factors_do_not_underflow_first(self):
+        # x ** -350 alone underflows to 0 at x = pi^2, though each of the
+        # 700 factors is pi and the value is 1
+        f, _ = parse_forest("(1) " * 700)
+        assign = NumericAssignment({i: 0.5 for i in range(700)})
+        x = math.pi**2
+        value = closed_form_value(f, assign, x)
+        assert abs(value - 1) < 1e-12
+        assert abs(value - quad_tree(f, assign, x)) < 1e-12
+
+    @pytest.mark.parametrize("x", [0.0, -1.0])
+    def test_external_parameter_must_be_positive(self, x):
+        f, _ = parse_forest("(1)")
+        assign = NumericAssignment({0: 0.25})
+        for evaluate in (closed_form_value, quad_tree):
+            with pytest.raises(DomainError, match="must be positive"):
+                evaluate(f, assign, x)
+
 
 class TestAdmissibleAssignment:
     def test_sums_stay_in_strip(self):

@@ -1,8 +1,10 @@
 """Projection tests: hand-derived values, structural identities, dual routes."""
 
+import gc
 import math
 import random
 import time
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -340,7 +342,8 @@ class TestIncrementalSweep:
                 assert piplus_expand(frac, self.context(g, seed)) == want
 
     def test_sweep_reads_nothing_of_the_region_engine(self):
-        engine = {"Nesting", "ev0_tree", "_Packing", "_region_value", "_ev0_sum"}
+        engine = {"Nesting", "ev0_tree", "ev0_piplus_direct", "_engine",
+                  "_ev0_sum"}
         assert engine.isdisjoint(projector._grouped_remainders.__code__.co_names)
 
 
@@ -488,17 +491,39 @@ class TestRegionCoordinates:
     )
     def test_state_counts(self, shape, n, states, monkeypatch):
         # the moves and the symbol choice fix how many states a tree visits
-        packings = []
-        build = region._Packing.of
+        memos = []
+        engine = region._engine
 
-        def spy(*args):
-            packings.append(build(*args))
-            return packings[-1]
+        def spy(nest, memo):
+            memos.append(memo)
+            return engine(nest, memo)
 
-        monkeypatch.setattr(region._Packing, "of", spy)
+        monkeypatch.setattr(region, "_engine", spy)
         renormalize(*unit_tree(shape(n), n))
-        [packing] = packings
-        assert len(packing.memo) == states
+        [memo] = memos
+        assert len(memo) == states
+
+    def test_engine_caches_go_with_the_call(self, monkeypatch):
+        # the memo is freed when the call returns, not at the next cyclic
+        # collection: a value function naming itself would be a cycle
+        class Memo(dict):
+            pass
+
+        memos = []
+        engine = region._engine
+
+        def spy(nest, memo):
+            memo = Memo()
+            memos.append(weakref.ref(memo))
+            return engine(nest, memo)
+
+        monkeypatch.setattr(region, "_engine", spy)
+        gc.disable()
+        try:
+            renormalize(*unit_tree(helpers.ladder_shape(6), 6))
+            assert len(memos) == 1 and memos[0]() is None
+        finally:
+            gc.enable()
 
     def test_ev0_tree_is_scale_free(self):
         # the engine reads the int weights of a Nesting only up to a
@@ -568,7 +593,7 @@ class TestRegionCoordinates:
         monkeypatch.setattr(forestren.renorm, "gram", refuse)
         monkeypatch.setattr(InnerProduct, "is_positive_definite", refuse)
         monkeypatch.setattr(Nesting, "of", refuse)
-        monkeypatch.setattr(projector, "ev0_piplus_direct", refuse)
+        monkeypatch.setattr(region, "ev0_piplus_direct", refuse)
         assert [renormalize(*fQ).exact for fQ in forests] == want
 
     def test_reference_never_reaches_fast_path(self, monkeypatch):
@@ -581,7 +606,7 @@ class TestRegionCoordinates:
         def refuse(*args, **kwargs):
             raise AssertionError("the reference reached the fast path")
 
-        monkeypatch.setattr(region, "_region_value", refuse)
+        monkeypatch.setattr(region, "_engine", refuse)
         monkeypatch.setattr(Nesting, "of", refuse)
         for (ctx, frac), value in zip(fracs, want):
             assert ev0_piplus(frac, ctx) == value
@@ -654,5 +679,7 @@ def test_projector_does_not_import_forest():
     # The fast path sees a Nesting; walks over trees belong to renorm.
     for module in (projector, region):
         assert "forest" not in helpers.imported_modules(module)
-    # and the region engine runs without the telescoping reference
+    # and the region engine and the telescoping reference, which checks
+    # it, share no code
     assert "projector" not in helpers.imported_modules(region)
+    assert "region" not in helpers.imported_modules(projector)
